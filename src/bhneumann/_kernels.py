@@ -1,23 +1,33 @@
-"""Array kernels, each in two interchangeable implementations.
+"""Coordinate kernels over the sparse normal form of a word's image.
 
-Every kernel exists as a pure numpy version (``*_np``) and, when numba
-imports cleanly, a jitted version (``*_nb``).  Setting the environment
-variable ``BHNEUMANN_NO_NUMBA=1`` before the first import forces the
-numpy path and skips importing numba entirely.  The module level names
-``eval_word``, ``scan_tree``, ``scan_tree_trivial`` and
-``check_random_words`` point at the active implementation; both
-families stay importable so tests and benchmarks can compare them.
+At a coordinate of degree d with offset r, the letter a is the d-cycle
+rho: x -> x+1 and b is the 3-cycle (0, r, 2r).  Every word's image has
+the normal form P = sigma o rho^s: s counts a minus A, and sigma is a
+permutation kept as a dict holding only the points it moves.  Appending
+a letter to a word with normal form (s, sigma):
+
+* a or A changes s by +1 or -1;
+* b composes sigma with the 3-cycle (s, s+r, s+2r) mod d, which is b
+  conjugated by rho^s; B composes with its inverse.  This touches at
+  most 3 points of sigma.
+
+So P is the identity iff s = 0 (mod d) and sigma is empty, and the cost
+per letter does not depend on d.  Only ``eval_word`` builds a dense
+image, once per call.
 
 Shared conventions:
 
-* ``tabs`` is an int32 array of shape (4, d); row c is the image table
-  of the letter with code c (a=0, A=1, b=2, B=3), so ``code ^ 1``
-  indexes the inverse letter.
-* Words evaluate left to right by table composition: after appending a
-  letter with table L, the prefix table T becomes T[L].
+* ``tabs`` is the (4, d) letter table array of a coordinate (rows a, A,
+  b, B); the kernels read only d = ``tabs.shape[1]`` and, in
+  ``eval_word``, r = ``tabs[2, 0]``.  Letter codes are a=0, A=1, b=2,
+  B=3, so ``code ^ 1`` is the inverse letter.
+* Words act right to left: the image of l1 l2 ... ln is l1 o ... o ln.
 * Lamp state mirrors the two-generator evaluation on the integer line:
   letter a shifts by +1, A by -1, b adds 1 (mod 3) to the lamp at the
-  current shift, B adds 2.
+  current shift, B adds 2.  The lamp overlay puts the 3-cycle at
+  (i, i+r, i+2r) mod d, or its inverse, at each lit lamp i; lamps are
+  written in increasing position, so where supports collide a later
+  lamp overwrites an earlier one.
 * Tree scans walk the reduced-word prefix tree in preorder with child
   order a, A, b, B, skipping the child that cancels the last letter.
   This matches ``words.enumerate_reduced(order="dfs")`` exactly.
@@ -28,23 +38,12 @@ Shared conventions:
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-
-def _numpy_forced() -> bool:
-    return os.environ.get("BHNEUMANN_NO_NUMBA", "") not in ("", "0")
-
-
+# perfbench/run.py records these two names, and --compare matches runs on
+# the backend; there is one implementation, in plain Python and numpy.
+ACTIVE = "numpy"
 HAVE_NUMBA = False
-if not _numpy_forced():
-    try:
-        from numba import njit
-
-        HAVE_NUMBA = True
-    except ImportError:
-        HAVE_NUMBA = False
 
 
 def tree_node_count(max_depth: int) -> int:
@@ -52,474 +51,121 @@ def tree_node_count(max_depth: int) -> int:
     return 2 * (3**max_depth - 1)
 
 
-# ---------------------------------------------------------------- numpy
+def _append_b(sigma: dict, lamps: dict | None, s: int, r: int, d: int, c: int) -> None:
+    """Append b (c = 2) or B (c = 3) at shift s, in place.
 
-def eval_word_np(tabs: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    sigma becomes sigma o (x y z) with (x, y, z) = (s, s+r, s+2r) mod d,
+    reversed for B; the lamp at s, if lamps is given, turns by c - 1.
+    """
+    x = s % d
+    y = (s + r) % d
+    z = (s + 2 * r) % d
+    if c == 3:
+        y, z = z, y
+    for p, v in ((x, sigma.get(y, y)), (y, sigma.get(z, z)), (z, sigma.get(x, x))):
+        if p == v:
+            sigma.pop(p, None)
+        else:
+            sigma[p] = v
+    if lamps is not None:
+        v = (lamps.get(s, 0) + c - 1) % 3
+        if v:
+            lamps[s] = v
+        else:
+            del lamps[s]
+
+
+def _walk(codes, r: int, d: int, lamps: dict | None = None) -> tuple[int, dict]:
+    """Normal form (s, sigma) of a word; fills lamps with its lamp state."""
+    s = 0
+    sigma: dict[int, int] = {}
+    for c in codes:
+        if c < 2:
+            s += 1 - 2 * c
+        else:
+            _append_b(sigma, lamps, s, r, d, c)
+    return s, sigma
+
+
+def _fails(s: int, sigma: dict, lamps: dict, r: int, d: int) -> bool:
+    """Whether a word fails either check of ``scan_tree``."""
+    if (s % d == 0 and not sigma) != (s == 0 and not lamps):
+        return True
+    overlay = {}
+    for i in sorted(lamps):
+        x, y, z = i % d, (i + r) % d, (i + 2 * r) % d
+        if lamps[i] == 2:
+            y, z = z, y
+        overlay[x] = y
+        overlay[y] = z
+        overlay[z] = x
+    # neither map stores a fixed point, so dict equality is pointwise equality
+    return sigma != overlay
+
+
+def eval_word(tabs: np.ndarray, codes) -> np.ndarray:
     """Image table of the word given by letter codes."""
     d = tabs.shape[1]
-    cur = np.arange(d, dtype=np.int32)
-    for c in codes:
-        cur = cur[tabs[c]]
-    return cur
+    s, sigma = _walk(np.asarray(codes).tolist(), int(tabs[2, 0]), d)
+    s %= d
+    images = np.arange(s, s + d, dtype=np.int32)
+    if s:
+        images[d - s :] -= d
+    for y, v in sigma.items():
+        images[(y - s) % d] = v
+    return images
 
 
-def scan_tree_np(tabs: np.ndarray, r: int, max_depth: int) -> tuple[int, int]:
+def scan_tree(tabs: np.ndarray, r: int, max_depth: int) -> tuple[int, int]:
     """Walk all reduced words of length <= max_depth; count check failures.
 
-    Two checks per node: the table is the identity exactly when the lamp
-    state is trivial, and the table equals the reconstruction from the
-    lamp data (the product of the 3-cycle at each lit lamp position,
-    composed with the power of the full cycle given by the shift).
+    Two checks per node: the image is the identity exactly when the lamp
+    state is trivial, and the image equals the lamp overlay composed
+    with the power of the full cycle given by the shift.  Each step
+    changes at most 3 points of sigma and undoes them on the way back.
     Returns (nodes visited, nodes failing either check).
     """
-    tabs = np.ascontiguousarray(tabs, dtype=np.int32)
     d = tabs.shape[1]
-    idx = np.arange(d, dtype=np.int32)
-    tables = np.empty((max_depth + 1, d), dtype=np.int32)
-    tables[0] = idx
-    letters = np.zeros(max_depth + 1, dtype=np.int64)
-    child = np.zeros(max_depth + 1, dtype=np.int64)
-    lamps = np.zeros(2 * max_depth + 1, dtype=np.int8)
-    off = max_depth
-    shift = 0
-    nz = 0
-    nodes = 0
-    fails = 0
-    depth = 0
-    while True:
-        if depth < max_depth and child[depth] < 4:
-            c = int(child[depth])
-            child[depth] += 1
-            if depth > 0 and (int(letters[depth - 1]) ^ 1) == c:
+    r = int(r)
+    sigma: dict[int, int] = {}
+    lamps: dict[int, int] = {}
+    nodes = fails = 0
+
+    def visit(depth: int, last: int, s: int) -> None:
+        nonlocal nodes, fails
+        for c in range(4):
+            if c == last ^ 1:
                 continue
-            letters[depth] = c
-            np.take(tables[depth], tabs[c], out=tables[depth + 1])
-            if c == 0:
-                shift += 1
-            elif c == 1:
-                shift -= 1
-            else:
-                pos = off + shift
-                old = int(lamps[pos])
-                new = (old + 1) % 3 if c == 2 else (old + 2) % 3
-                lamps[pos] = new
-                nz += (new != 0) - (old != 0)
-            depth += 1
-            child[depth] = 0
             nodes += 1
-            cur = tables[depth]
-            trivial_perm = bool((cur == idx).all())
-            bad = trivial_perm != (shift == 0 and nz == 0)
-            sigma = idx.copy()
-            for i in range(-depth, depth + 1):
-                v = int(lamps[off + i])
-                if v:
-                    p0 = i % d
-                    p1 = (i + r) % d
-                    p2 = (i + 2 * r) % d
-                    if v == 1:
-                        sigma[p0] = p1
-                        sigma[p1] = p2
-                        sigma[p2] = p0
-                    else:
-                        sigma[p0] = p2
-                        sigma[p1] = p0
-                        sigma[p2] = p1
-            expected = sigma[(idx + shift) % d]
-            if not (cur == expected).all():
-                bad = True
-            fails += bad
-        else:
-            if depth == 0:
-                break
-            c = int(letters[depth - 1])
-            if c == 0:
-                shift -= 1
-            elif c == 1:
-                shift += 1
+            if c < 2:
+                t = s + 1 - 2 * c
+                fails += _fails(t, sigma, lamps, r, d)
+                if depth < max_depth:
+                    visit(depth + 1, c, t)
             else:
-                pos = off + shift
-                old = int(lamps[pos])
-                new = (old + 2) % 3 if c == 2 else (old + 1) % 3
-                lamps[pos] = new
-                nz += (new != 0) - (old != 0)
-            depth -= 1
+                _append_b(sigma, lamps, s, r, d, c)
+                fails += _fails(s, sigma, lamps, r, d)
+                if depth < max_depth:
+                    visit(depth + 1, c, s)
+                _append_b(sigma, lamps, s, r, d, c ^ 1)
+
+    if max_depth > 0:
+        visit(1, -1, 0)
     return nodes, fails
 
 
-def scan_tree_trivial_np(tabs: np.ndarray, max_depth: int) -> np.ndarray:
-    """Preorder bitmap: 1 where the prefix table is the identity."""
-    tabs = np.ascontiguousarray(tabs, dtype=np.int32)
-    d = tabs.shape[1]
-    idx = np.arange(d, dtype=np.int32)
-    tables = np.empty((max_depth + 1, d), dtype=np.int32)
-    tables[0] = idx
-    letters = np.zeros(max_depth + 1, dtype=np.int64)
-    child = np.zeros(max_depth + 1, dtype=np.int64)
-    out = np.zeros(tree_node_count(max_depth), dtype=np.uint8)
-    k = 0
-    depth = 0
-    while True:
-        if depth < max_depth and child[depth] < 4:
-            c = int(child[depth])
-            child[depth] += 1
-            if depth > 0 and (int(letters[depth - 1]) ^ 1) == c:
-                continue
-            letters[depth] = c
-            np.take(tables[depth], tabs[c], out=tables[depth + 1])
-            depth += 1
-            child[depth] = 0
-            out[k] = 1 if bool((tables[depth] == idx).all()) else 0
-            k += 1
-        else:
-            if depth == 0:
-                break
-            depth -= 1
-    return out
-
-
-def check_random_words_np(
-    tabs: np.ndarray, r: int, codes2d: np.ndarray
-) -> tuple[int, int]:
+def check_random_words(tabs: np.ndarray, r: int, codes2d: np.ndarray) -> tuple[int, int]:
     """Run the two scan_tree checks on each whole word in a batch.
 
     codes2d has shape (words, length); only the final state of each word
     is checked, not its prefixes.  Returns (words checked, failures).
     """
-    tabs = np.ascontiguousarray(tabs, dtype=np.int32)
     d = tabs.shape[1]
-    idx = np.arange(d, dtype=np.int32)
-    nwords, length = codes2d.shape
+    r = int(r)
+    rows = np.asarray(codes2d).tolist()
     fails = 0
-    for w in range(nwords):
-        cur = idx
-        lamps = np.zeros(2 * length + 1, dtype=np.int8)
-        off = length
-        shift = 0
-        nz = 0
-        for k in range(length):
-            c = int(codes2d[w, k])
-            cur = cur[tabs[c]]
-            if c == 0:
-                shift += 1
-            elif c == 1:
-                shift -= 1
-            else:
-                pos = off + shift
-                old = int(lamps[pos])
-                new = (old + 1) % 3 if c == 2 else (old + 2) % 3
-                lamps[pos] = new
-                nz += (new != 0) - (old != 0)
-        trivial_perm = bool((cur == idx).all())
-        bad = trivial_perm != (shift == 0 and nz == 0)
-        sigma = idx.copy()
-        for i in range(-length, length + 1):
-            v = int(lamps[off + i])
-            if v:
-                p0 = i % d
-                p1 = (i + r) % d
-                p2 = (i + 2 * r) % d
-                if v == 1:
-                    sigma[p0] = p1
-                    sigma[p1] = p2
-                    sigma[p2] = p0
-                else:
-                    sigma[p0] = p2
-                    sigma[p1] = p0
-                    sigma[p2] = p1
-        expected = sigma[(idx + shift) % d]
-        if not (cur == expected).all():
-            bad = True
-        fails += bad
-    return nwords, fails
-
-
-# ---------------------------------------------------------------- numba
-
-def _eval_word_loops(tabs, codes):
-    d = tabs.shape[1]
-    cur = np.empty(d, dtype=np.int32)
-    buf = np.empty(d, dtype=np.int32)
-    for x in range(d):
-        cur[x] = x
-    for k in range(codes.shape[0]):
-        row = tabs[codes[k]]
-        for x in range(d):
-            buf[x] = cur[row[x]]
-        tmp = cur
-        cur = buf
-        buf = tmp
-    return cur
-
-
-def _scan_tree_loops(tabs, r, max_depth):
-    d = tabs.shape[1]
-    tables = np.empty((max_depth + 1, d), dtype=np.int32)
-    for x in range(d):
-        tables[0, x] = x
-    letters = np.zeros(max_depth + 1, dtype=np.int64)
-    child = np.zeros(max_depth + 1, dtype=np.int64)
-    lamps = np.zeros(2 * max_depth + 1, dtype=np.int8)
-    ov = np.full(d, -1, dtype=np.int32)
-    touched = np.empty(3 * (2 * max_depth + 1), dtype=np.int32)
-    off = max_depth
-    shift = 0
-    nz = 0
-    nodes = np.int64(0)
-    fails = np.int64(0)
-    depth = 0
-    while True:
-        if depth < max_depth and child[depth] < 4:
-            c = child[depth]
-            child[depth] += 1
-            if depth > 0 and (letters[depth - 1] ^ 1) == c:
-                continue
-            letters[depth] = c
-            row = tabs[c]
-            prev = tables[depth]
-            nxt = tables[depth + 1]
-            for x in range(d):
-                nxt[x] = prev[row[x]]
-            if c == 0:
-                shift += 1
-            elif c == 1:
-                shift -= 1
-            else:
-                pos = off + shift
-                old = lamps[pos]
-                new = (old + 1) % 3 if c == 2 else (old + 2) % 3
-                lamps[pos] = new
-                if old == 0 and new != 0:
-                    nz += 1
-                elif old != 0 and new == 0:
-                    nz -= 1
-            depth += 1
-            child[depth] = 0
-            nodes += 1
-            cur = tables[depth]
-            trivial_perm = True
-            for x in range(d):
-                if cur[x] != x:
-                    trivial_perm = False
-                    break
-            bad = trivial_perm != (shift == 0 and nz == 0)
-            wrote = 0
-            for i in range(-depth, depth + 1):
-                v = lamps[off + i]
-                if v != 0:
-                    p0 = i % d
-                    p1 = (i + r) % d
-                    p2 = (i + 2 * r) % d
-                    if v == 1:
-                        ov[p0] = p1
-                        ov[p1] = p2
-                        ov[p2] = p0
-                    else:
-                        ov[p0] = p2
-                        ov[p1] = p0
-                        ov[p2] = p1
-                    touched[wrote] = p0
-                    touched[wrote + 1] = p1
-                    touched[wrote + 2] = p2
-                    wrote += 3
-            sh = shift % d
-            for x in range(d):
-                y = x + sh
-                if y >= d:
-                    y -= d
-                e = ov[y]
-                if e < 0:
-                    e = y
-                if cur[x] != e:
-                    bad = True
-                    break
-            for t in range(wrote):
-                ov[touched[t]] = -1
-            if bad:
-                fails += 1
-        else:
-            if depth == 0:
-                break
-            c = letters[depth - 1]
-            if c == 0:
-                shift -= 1
-            elif c == 1:
-                shift += 1
-            else:
-                pos = off + shift
-                old = lamps[pos]
-                new = (old + 2) % 3 if c == 2 else (old + 1) % 3
-                lamps[pos] = new
-                if old == 0 and new != 0:
-                    nz += 1
-                elif old != 0 and new == 0:
-                    nz -= 1
-            depth -= 1
-    return nodes, fails
-
-
-def _scan_tree_trivial_loops(tabs, max_depth):
-    d = tabs.shape[1]
-    tables = np.empty((max_depth + 1, d), dtype=np.int32)
-    for x in range(d):
-        tables[0, x] = x
-    letters = np.zeros(max_depth + 1, dtype=np.int64)
-    child = np.zeros(max_depth + 1, dtype=np.int64)
-    out = np.zeros(2 * (3**max_depth - 1), dtype=np.uint8)
-    k = 0
-    depth = 0
-    while True:
-        if depth < max_depth and child[depth] < 4:
-            c = child[depth]
-            child[depth] += 1
-            if depth > 0 and (letters[depth - 1] ^ 1) == c:
-                continue
-            letters[depth] = c
-            row = tabs[c]
-            prev = tables[depth]
-            nxt = tables[depth + 1]
-            trivial = True
-            for x in range(d):
-                nxt[x] = prev[row[x]]
-                if nxt[x] != x:
-                    trivial = False
-            depth += 1
-            child[depth] = 0
-            out[k] = 1 if trivial else 0
-            k += 1
-        else:
-            if depth == 0:
-                break
-            depth -= 1
-    return out
-
-
-def _check_random_words_loops(tabs, r, codes2d):
-    d = tabs.shape[1]
-    nwords, length = codes2d.shape
-    cur = np.empty(d, dtype=np.int32)
-    buf = np.empty(d, dtype=np.int32)
-    lamps = np.zeros(2 * length + 1, dtype=np.int8)
-    ov = np.full(d, -1, dtype=np.int32)
-    touched = np.empty(3 * (2 * length + 1), dtype=np.int32)
-    off = length
-    fails = np.int64(0)
-    for w in range(nwords):
-        for x in range(d):
-            cur[x] = x
-        for i in range(2 * length + 1):
-            lamps[i] = 0
-        shift = 0
-        nz = 0
-        for k in range(length):
-            c = codes2d[w, k]
-            row = tabs[c]
-            for x in range(d):
-                buf[x] = cur[row[x]]
-            tmp = cur
-            cur = buf
-            buf = tmp
-            if c == 0:
-                shift += 1
-            elif c == 1:
-                shift -= 1
-            else:
-                pos = off + shift
-                old = lamps[pos]
-                new = (old + 1) % 3 if c == 2 else (old + 2) % 3
-                lamps[pos] = new
-                if old == 0 and new != 0:
-                    nz += 1
-                elif old != 0 and new == 0:
-                    nz -= 1
-        trivial_perm = True
-        for x in range(d):
-            if cur[x] != x:
-                trivial_perm = False
-                break
-        bad = trivial_perm != (shift == 0 and nz == 0)
-        wrote = 0
-        for i in range(-length, length + 1):
-            v = lamps[off + i]
-            if v != 0:
-                p0 = i % d
-                p1 = (i + r) % d
-                p2 = (i + 2 * r) % d
-                if v == 1:
-                    ov[p0] = p1
-                    ov[p1] = p2
-                    ov[p2] = p0
-                else:
-                    ov[p0] = p2
-                    ov[p1] = p0
-                    ov[p2] = p1
-                touched[wrote] = p0
-                touched[wrote + 1] = p1
-                touched[wrote + 2] = p2
-                wrote += 3
-        sh = shift % d
-        for x in range(d):
-            y = x + sh
-            if y >= d:
-                y -= d
-            e = ov[y]
-            if e < 0:
-                e = y
-            if cur[x] != e:
-                bad = True
-                break
-        for t in range(wrote):
-            ov[touched[t]] = -1
-        if bad:
-            fails += 1
-    return np.int64(nwords), fails
-
-
-if HAVE_NUMBA:
-    eval_word_nb = njit(cache=True)(_eval_word_loops)
-    scan_tree_nb = njit(cache=True)(_scan_tree_loops)
-    scan_tree_trivial_nb = njit(cache=True)(_scan_tree_trivial_loops)
-    check_random_words_nb = njit(cache=True)(_check_random_words_loops)
-
-    eval_word = eval_word_nb
-    scan_tree = scan_tree_nb
-    scan_tree_trivial = scan_tree_trivial_nb
-    check_random_words = check_random_words_nb
-    ACTIVE = "numba"
-else:
-    eval_word = eval_word_np
-    scan_tree = scan_tree_np
-    scan_tree_trivial = scan_tree_trivial_np
-    check_random_words = check_random_words_np
-    ACTIVE = "numpy"
-
-
-IMPLEMENTATIONS: dict[str, dict[str, object]] = {
-    "numpy": {
-        "eval_word": eval_word_np,
-        "scan_tree": scan_tree_np,
-        "scan_tree_trivial": scan_tree_trivial_np,
-        "check_random_words": check_random_words_np,
-    }
-}
-if HAVE_NUMBA:
-    IMPLEMENTATIONS["numba"] = {
-        "eval_word": eval_word_nb,
-        "scan_tree": scan_tree_nb,
-        "scan_tree_trivial": scan_tree_trivial_nb,
-        "check_random_words": check_random_words_nb,
-    }
-
-
-def warmup() -> None:
-    """Run each active kernel once on tiny input to absorb compile cost."""
-    tabs = np.empty((4, 5), dtype=np.int32)
-    tabs[0] = (np.arange(5) + 1) % 5
-    tabs[1] = (np.arange(5) - 1) % 5
-    tabs[2] = np.array([1, 2, 0, 3, 4])
-    tabs[3] = np.array([2, 0, 1, 3, 4])
-    codes = np.array([0, 2, 1], dtype=np.int8)
-    eval_word(tabs, codes)
-    scan_tree(tabs, 1, 1)
-    scan_tree_trivial(tabs, 2)
-    check_random_words(tabs, 1, codes.reshape(1, 3))
+    for codes in rows:
+        lamps: dict[int, int] = {}
+        s, sigma = _walk(codes, r, d, lamps)
+        fails += _fails(s, sigma, lamps, r, d)
+    return len(rows), fails

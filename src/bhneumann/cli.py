@@ -101,7 +101,7 @@ def _profile_of(cfg: RunConfig) -> GrowthProfile:
     if "values" not in p:
         raise ValueError("table profile needs params.values")
     vals = [float(v) for v in p["values"]]
-    return GrowthProfile.from_table(vals, C2=int(p.get("C2", 0)))
+    return GrowthProfile.from_table(vals, C2=p.get("C2", 0))
 
 
 def _f(x: float) -> str:

@@ -117,7 +117,7 @@ class ElementSignature:
 
 
 def coordinate_eval(ctx: GroupContext, word: str, m: int) -> Permutation:
-    """Image of the word at coordinate m, by direct table composition."""
+    """Image of the word at coordinate m, from its sparse normal form."""
     tabs = ctx.letter_tables(m)
     return Permutation(_kernels.eval_word(tabs, to_codes(word)))
 
@@ -133,10 +133,11 @@ def cutoff(ctx: GroupContext, n: int) -> int:
     """Largest coordinate where separation fails for length-n words.
 
     Scans m <= 2n+1: beyond that the offset construction forces
-    r(m) > q(m) >= m >= 2n+2.  The second half of the separation
-    condition is asserted explicitly on the scanned tail and at the
-    first coordinate past the scan, raising SpreadAssertionFailed if a
-    degenerate profile violates it.
+    r(m) > m >= 2n+2.  The second half of the separation condition is
+    asserted explicitly on the scanned tail and at the first coordinate
+    past the scan, raising SpreadAssertionFailed if a degenerate profile
+    violates it.  A preset table need not keep r(m) > m, so every index
+    of it is scanned.
     """
     bound = 2 * n + 1
     m0 = 0
@@ -151,6 +152,10 @@ def cutoff(ctx: GroupContext, n: int) -> int:
                 f"coordinate {m}: d - 2r = {d - 2 * r} < {2 * n + 1} "
                 f"(cutoff scan for length {n})"
             )
+    if ctx.seqs.is_preset:
+        for m in range(bound + 1, ctx.seqs.known + 1):
+            if not spread_ok(ctx, m, n):
+                m0 = m
     return m0
 
 
@@ -192,7 +197,11 @@ def signature(ctx: GroupContext, word: str, n_class: int) -> ElementSignature:
             f"word of reduced length {len(w)} exceeds the class bound {n_class}"
         )
     m0 = cutoff(ctx, 2 * n_class)
-    coords = tuple(coordinate_eval(ctx, w, m) for m in range(1, m0 + 1))
+    codes = to_codes(w)
+    coords = tuple(
+        Permutation(_kernels.eval_word(ctx.letter_tables(m), codes))
+        for m in range(1, m0 + 1)
+    )
     return ElementSignature(coords, w_eval(w), n_class)
 
 

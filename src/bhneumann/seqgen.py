@@ -5,7 +5,7 @@ its natural log; the size floor is f(n) = ceil(log F(n + C2) / log log
 F(n + C2)) unless the profile prescribes f directly (the linear "toy"
 profiles).  The divisor d(n) is the smallest prime >= max(f(n), 5), and
 the offset r(n) is found by a greedy scan over the window
-(q(n), q(n) + 17n - 1] subject to two admissibility conditions against
+(n, 18n - 1] subject to two admissibility conditions against
 all earlier indices m < n:
 
   (a)  r(n) is not congruent to +-r(m) or +-2 r(m) modulo d(m), and
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from ._primes import is_prime, next_prime, sieve
 from .errors import (
@@ -37,6 +37,18 @@ __all__ = [
     "next_prime",
     "sieve",
 ]
+
+
+def _require_int(**named) -> None:
+    for name, x in named.items():
+        if isinstance(x, bool) or not isinstance(x, int):
+            raise ValueError(f"{name} must be an integer, got {x!r}")
+
+
+def _require_finite(**named) -> None:
+    for name, x in named.items():
+        if isinstance(x, bool) or not isinstance(x, (int, float)) or not math.isfinite(x):
+            raise ValueError(f"{name} must be a finite number, got {x!r}")
 
 
 @dataclass(frozen=True)
@@ -63,6 +75,7 @@ class GrowthProfile:
     @classmethod
     def toy(cls, slope: int = 16, intercept: int = 64) -> "GrowthProfile":
         """Linear size floor; the default keeps d(n) >= 16n at every index."""
+        _require_int(slope=slope, intercept=intercept)
         if slope < 1 or intercept < 0:
             raise ValueError("toy profile needs slope >= 1 and intercept >= 0")
         return cls(kind="toy", slope=slope, intercept=intercept)
@@ -76,6 +89,8 @@ class GrowthProfile:
         The floor at t = 16 keeps the curve positive and increasing on
         small indices without changing its asymptotics.
         """
+        _require_finite(c=c, eps=eps)
+        _require_int(C2=C2)
         if c <= 0 or eps <= 0:
             raise ValueError("builtin profile needs c > 0 and eps > 0")
         return cls(kind="builtin", c=c, eps=eps, C2=C2)
@@ -83,6 +98,8 @@ class GrowthProfile:
     @classmethod
     def bprime(cls, c: float = 1.0, C2: int = 256) -> "GrowthProfile":
         """log F(n) = c * n**log(n); the superfast reference curve."""
+        _require_finite(c=c)
+        _require_int(C2=C2)
         if c <= 0:
             raise ValueError("bprime profile needs c > 0")
         return cls(kind="bprime", c=c, C2=C2)
@@ -95,6 +112,9 @@ class GrowthProfile:
         vals = tuple(float(v) for v in values)
         if not vals:
             raise ValueError("table profile needs at least one value")
+        if not all(math.isfinite(v) for v in vals):
+            raise ValueError(f"table profile values must be finite, got {list(vals)}")
+        _require_int(C2=C2)
         return cls(kind="table", C2=C2, table_values=vals)
 
     def log_F(self, n: int) -> float:
@@ -173,19 +193,14 @@ def _scan_window(
 class SequenceSet:
     """Memoized f, d, r sequences with a certificate per derived index.
 
-    Indices are 1-based.  q gives the lower edge of each offset window
-    and defaults to the identity.  Every derived index records a
-    certificate dict (window, chosen offset, reject count) so reports
-    can show why each value was picked.
+    Indices are 1-based; the offset window of index n has lower edge
+    q(n) = n.  Every derived index records a certificate dict (window,
+    chosen offset, reject count) so reports can show why each value was
+    picked.
     """
 
-    def __init__(
-        self,
-        profile: GrowthProfile,
-        q: Callable[[int], int] | None = None,
-    ):
+    def __init__(self, profile: GrowthProfile):
         self.profile = profile
-        self.q = q if q is not None else (lambda n: n)
         self._f: list[int] = []
         self._d: list[int] = []
         self._r: list[int] = []
@@ -198,7 +213,6 @@ class SequenceSet:
         d: Sequence[int],
         r: Sequence[int],
         f: Sequence[int] | None = None,
-        q: Callable[[int], int] | None = None,
     ) -> "SequenceSet":
         """Explicit tables for worked examples and tests.
 
@@ -210,7 +224,6 @@ class SequenceSet:
             raise ValueError("d and r must have equal length")
         obj = cls.__new__(cls)
         obj.profile = GrowthProfile(kind="table", table_values=(0.0,))
-        obj.q = q if q is not None else (lambda n: n)
         obj._d = [int(x) for x in d]
         obj._r = [int(x) for x in r]
         obj._f = [int(x) for x in f] if f is not None else list(obj._d)
@@ -257,17 +270,12 @@ class SequenceSet:
             )
         if d < 16 * n:
             raise DivisorTooSmall(n, d)
-        qn = self.q(n)
-        if not n <= qn <= d // 4:
-            raise SequenceConstructionError(
-                f"window edge q({n}) = {qn} outside [{n}, {d // 4}]"
-            )
         width = 17 * n - 1
         prior = list(zip(self._d, self._r))
         try:
-            k, rejected = _scan_window(qn, width, prior, d)
+            k, rejected = _scan_window(n, width, prior, d)
         except NoAdmissibleResidue as exc:
-            raise NoAdmissibleResidue(n, qn, qn + width) from exc
+            raise NoAdmissibleResidue(n, n, n + width) from exc
         if not 3 * k < d:
             raise SequenceConstructionError(
                 f"offset r({n}) = {k} is not below d({n})/3 = {d / 3:.2f}"
@@ -278,9 +286,9 @@ class SequenceSet:
         self.certificates[n] = {
             "f": f,
             "d": d,
-            "q": qn,
+            "q": n,
             "r": k,
-            "window": (qn, qn + width),
+            "window": (n, n + width),
             "rejected": rejected,
         }
 
@@ -288,7 +296,7 @@ class SequenceSet:
         """Check the construction's standing hypotheses on indices 1..N.
 
         Hard conditions (any failure flips "ok"): d(n) is an odd prime,
-        d(n) >= 16n, n <= q(n) <= d(n)/4, the offset lies in its window
+        d(n) >= 16n, n <= d(n)/4, the offset lies in its window
         below d(n)/3, and the pairwise conditions (a) and (b) hold for
         every m < n.  Two asymptotic conditions are reported separately
         under "info" flags because finite prefixes of slow profiles can
@@ -304,11 +312,10 @@ class SequenceSet:
         for n in range(1, N + 1):
             d = self._d[n - 1]
             r = self._r[n - 1]
-            qn = self.q(n)
             prime_ok = d % 2 == 1 and is_prime(d)
             floor_ok = d >= 16 * n
-            window_ok = n <= qn <= d // 4
-            offset_ok = qn < r <= qn + 17 * n - 1 and 3 * r < d
+            window_ok = n <= d // 4
+            offset_ok = n < r <= 18 * n - 1 and 3 * r < d
             pair_ok = True
             for m in range(1, n):
                 dm, rm = self._d[m - 1], self._r[m - 1]

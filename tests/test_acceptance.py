@@ -2,8 +2,7 @@
 
 Each test prints one [PASS]/[FAIL] line on the real stdout so the
 summary survives pytest's capture, and asserts its own runtime limit
-where one applies.  Kernels are warmed once so compile time never
-counts against a criterion.
+where one applies.
 """
 
 import math
@@ -45,11 +44,6 @@ def _report(capsys, name: str, ok: bool, seconds: float) -> None:
     status = "PASS" if ok else "FAIL"
     with capsys.disabled():
         print(f"[{status}] {name} ({seconds:.2f}s)", flush=True)
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _warm():
-    _kernels.warmup()
 
 
 @pytest.fixture(scope="module")

@@ -1,6 +1,7 @@
 """CLI contract: exit codes, output bytes, config handling."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -116,6 +117,20 @@ def test_output_deterministic(capsys):
         assert out1 == out2
 
 
+# Captured from the dense-kernel implementation with
+#   python3 -m bhneumann.cli COMMAND --profile toy --n N --format FMT
+# and kept fixed, so kernel rewrites must reproduce them byte for byte.
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("command,n", [("verify", 3), ("oracle", 4)])
+@pytest.mark.parametrize("fmt", ["tsv", "json"])
+def test_output_matches_golden(capsys, command, n, fmt):
+    rc, out, _ = run(capsys, [command, "--profile", "toy", "--n", str(n), "--format", fmt])
+    assert rc == 0
+    assert out == (GOLDEN / f"{command}_toy_n{n}.{fmt}").read_text()
+
+
 # --- exit code 1 paths -----------------------------------------------------------
 
 def test_oracle_budget_exceeded(capsys):
@@ -176,3 +191,20 @@ def test_missing_subcommand_exits_2(capsys):
 def test_bad_flag_value_exits_2(capsys):
     assert main(["build", "--profile", "hexagonal"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        '{"profile": "toy", "params": {"slope": 1.5}}',
+        '{"profile": "table", "params": {"values": [1e400]}}',
+        '{"profile": "table", "params": {"values": ["nan"]}}',
+    ],
+)
+def test_bad_param_value_exits_2(capsys, tmp_path, config):
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(config)
+    rc, out, err = run(capsys, ["build", "--config", str(cfgfile), "--n", "3"])
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("config error: ") and err.count("\n") == 1

@@ -25,7 +25,29 @@ from bhneumann import (
     w_eval,
     witness,
 )
-from bhneumann import _kernels
+
+
+def dense_trivial_bitmap(tabs: np.ndarray, depth: int) -> np.ndarray:
+    """Preorder flags over all nonempty reduced words of length <= depth.
+
+    Walks the prefix tree with child order a, A, b, B and composes the
+    dense letter tables along each path; a flag is set where the prefix
+    image is the identity.  Independent of the sparse kernels.
+    """
+    idx = np.arange(tabs.shape[1], dtype=np.int32)
+    flags: list[bool] = []
+
+    def walk(table: np.ndarray, last: int, length: int) -> None:
+        for c in range(4):
+            if c == last ^ 1:
+                continue
+            nxt = table[tabs[c]]
+            flags.append(bool((nxt == idx).all()))
+            if length < depth:
+                walk(nxt, c, length + 1)
+
+    walk(idx, -1, 1)
+    return np.array(flags, dtype=bool)
 
 
 # --- support separation and the cutoff ------------------------------------
@@ -42,6 +64,17 @@ def test_cutoff_preset_boundary():
     # coords 1..2 fail separation at length 5, coords 3.. all pass
     seqs = SequenceSet.preset(d=[83] * 12, r=[2, 2] + [11] * 10)
     assert cutoff(GroupContext(seqs), 5) == 2
+
+
+def test_cutoff_scans_whole_preset():
+    # separation holds up to index 2n+2 = 18 but fails at index 20, where
+    # the word is not the identity; a derived sequence could not do this
+    ctx = GroupContext(SequenceSet.preset([101] * 20, [40] * 19 + [1]))
+    w = "BaBAbabA"
+    assert w_eval(w).is_identity()
+    assert coordinate_eval(ctx, w, 20) != identity(101)
+    assert cutoff(ctx, len(w)) == 20
+    assert not is_trivial(ctx, w)
 
 
 def test_cutoff_zero_length(toy_ctx):
@@ -140,7 +173,7 @@ def test_word_problem_exhaustive_depth8(toy_ctx):
     coord_triv = np.ones(len(words), dtype=bool)
     for m in range(1, 31):
         tabs = toy_ctx.letter_tables(m)
-        coord_triv &= _kernels.scan_tree_trivial(tabs, depth).astype(bool)
+        coord_triv &= dense_trivial_bitmap(tabs, depth)
     wreath_triv = np.fromiter(
         (w_eval(w).is_identity() for w in words), dtype=bool, count=len(words)
     )
