@@ -49,16 +49,20 @@ __all__ = [
 
 
 class GroupContext:
-    """Sequence data plus a cache of per-coordinate letter tables.
+    """Sequence data plus caches of letter tables and cutoffs.
 
-    The cache maps coordinate index m to an int32 array of shape
+    The table cache maps coordinate index m to an int32 array of shape
     (4, d(m)) whose rows are the image tables of the letters a, A, b, B.
-    Contexts are immutable once built apart from lazy materialization.
+    The cutoff cache maps a word length n to cutoff(ctx, n); derived and
+    preset tables never change at a known index, so neither cache goes
+    stale.  Contexts are immutable once built apart from lazy
+    materialization.
     """
 
     def __init__(self, seqs: SequenceSet):
         self.seqs = seqs
         self._tabs: dict[int, np.ndarray] = {}
+        self._cutoffs: dict[int, int] = {}
 
     def degree(self, m: int) -> int:
         return self.seqs.d_of(m)
@@ -137,8 +141,16 @@ def cutoff(ctx: GroupContext, n: int) -> int:
     asserted explicitly on the scanned tail and at the first coordinate
     past the scan, raising SpreadAssertionFailed if a degenerate profile
     violates it.  A preset table need not keep r(m) > m, so every index
-    of it is scanned.
+    of it is scanned.  The result is memoised on the context; a raised
+    SpreadAssertionFailed is not, so a failing profile fails every call.
     """
+    m0 = ctx._cutoffs.get(n)
+    if m0 is None:
+        m0 = ctx._cutoffs[n] = _scan_cutoff(ctx, n)
+    return m0
+
+
+def _scan_cutoff(ctx: GroupContext, n: int) -> int:
     bound = 2 * n + 1
     m0 = 0
     for m in range(1, bound + 1):

@@ -85,14 +85,13 @@ class _Level:
 class StabilizerChain:
     """See the module docstring for the data layout and invariants."""
 
-    def __init__(self, degree: int, base_hint: list[int] | None = None):
+    def __init__(self, degree: int):
         if degree < 1:
             raise ValueError("degree must be positive")
         self.degree = degree
         self.levels: list[_Level] = []
         self.complete = False
         self._idt = np.arange(degree, dtype=np.int32)
-        self._base_hint = list(base_hint) if base_hint else []
 
     def order(self) -> int:
         out = 1
@@ -119,13 +118,7 @@ class StabilizerChain:
 
     def _add_gen_at(self, li: int, p: np.ndarray) -> None:
         if li == len(self.levels):
-            point = -1
-            if li < len(self._base_hint):
-                cand = self._base_hint[li]
-                if p[cand] != cand:
-                    point = cand
-            if point < 0:
-                point = int(np.nonzero(p != self._idt)[0][0])
+            point = int(np.nonzero(p != self._idt)[0][0])
             self.levels.append(_Level(point, self.degree))
         pi = _invert_table(p)
         for k in range(li + 1):
@@ -180,7 +173,6 @@ def build_chain(
     generators: list[Permutation],
     *,
     known_order: int | None = None,
-    base_hint: list[int] | None = None,
 ) -> StabilizerChain:
     """Deterministic stabilizer chain for the group the inputs generate.
 
@@ -198,7 +190,7 @@ def build_chain(
     for g in generators:
         if g.degree != degree:
             raise ValueError("generators must share one degree")
-    chain = StabilizerChain(degree, base_hint=base_hint)
+    chain = StabilizerChain(degree)
     for g in generators:
         chain._insert(g.images)
         if known_order is not None and chain.order() == known_order:
@@ -223,40 +215,81 @@ def contains(chain: StabilizerChain, p: Permutation) -> bool:
     return residue is None
 
 
+def _ladder_bound(alpha: Permutation, beta: Permutation, r: int) -> int:
+    """Lower bound d * prod_j |b_j^H_j| on |<alpha, beta>|, or 0.
+
+    Notation as in verify_alt_generation.  The union-find runs from
+    j = d-3 down, so after step j the component of b_j is its H_j-orbit.
+    Returns 0 if alpha is not x -> x+1 or some sigma_j moves a base point
+    b_i with i < j, since the bound then does not hold.
+    """
+    d = alpha.degree
+    idx = np.arange(d)
+    if not np.array_equal(alpha.images, (idx + 1) % d):
+        return 0
+    # r is a unit mod the prime d, so the b_j run through every point once
+    base = ((idx * r) % d).tolist()
+    pos = [0] * d
+    for j, b in enumerate(base):
+        pos[b] = j
+    arrows = [(int(x), int(beta.images[x])) for x in np.nonzero(beta.images != idx)[0]]
+    parent = list(range(d))
+    size = [1] * d
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    bound = d
+    for j in range(d - 3, 0, -1):
+        shift = base[j]
+        for x, y in arrows:
+            # sigma_j sends x + shift to beta(x) + shift
+            x, y = (x + shift) % d, (y + shift) % d
+            if pos[x] < j:
+                return 0
+            rx, ry = find(x), find(y)
+            if rx != ry:
+                if size[rx] < size[ry]:
+                    rx, ry = ry, rx
+                parent[ry] = rx
+                size[rx] += size[ry]
+        bound *= size[find(base[j])]
+    return bound
+
+
 def verify_alt_generation(d: int, r1: int, r2: int) -> bool:
     """Whether the standard pair generates the full alternating group.
 
     Both generators are even permutations (a d-cycle of odd length and a
-    3-cycle), so d!/2 bounds the order from above and reaching it from
-    below certifies equality.  For r1 == r2 == r the chain is seeded
-    deterministically along the base 0, r, 2r, ...: conjugating the
-    3-cycle by the (j*r)-th power of the full cycle gives the 3-cycle at
-    (j*r, (j+1)*r, (j+2)*r), and together these fill every stabilizer
-    orbit, so the orbit product hits d!/2 after about d insertions with
-    no verification sweep at all.
+    3-cycle), so G = <alpha, beta> lies in Alt(d) and d!/2 bounds its
+    order from above; any lower bound that reaches d!/2 certifies
+    G = Alt(d).
+
+    For r1 == r2 == r the lower bound is an orbit product along the
+    conjugate 3-cycle ladder.  Take the base b_j = j*r mod d (every point
+    once, as d is prime) and sigma_j = alpha^(j*r) beta alpha^(-j*r), the
+    3-cycle at (b_j, b_(j+1), b_(j+2)), for j = 1..d-3.  Checked on the
+    actual images, every sigma_i with i >= j fixes b_0..b_(j-1), so
+    H_j = <sigma_i : i >= j> lies in the pointwise stabilizer G_j of
+    b_0..b_(j-1) in G.  Then |G| = prod_j |b_j^G_j| >= d * prod_j |b_j^H_j|:
+    the d-cycle makes the first orbit all d points, and the H_j-orbits
+    are connected components of one union-find over the points each
+    sigma_j moves.  This is the soundness argument of a stabilizer chain
+    (the transversal product never exceeds the order) without building
+    one, in O(d) Python-level steps instead of O(d^3).
+
+    If the product falls short, or r1 != r2, a stabilizer chain built up
+    to the known order d!/2 decides.  Raises ValueError when d is not an
+    odd prime >= 5 or the offsets do not fit.
     """
     alpha, beta = make_generators(d, r1, r2)
     if not (is_even(alpha) and is_even(beta)):
         return False
     target = math.factorial(d) // 2
-    if r1 != r2:
-        chain = build_chain([alpha, beta], known_order=target)
-        return group_order(chain) == target
-    r = r1
-    idx = np.arange(d, dtype=np.int64)
-    beta_t = beta.images.astype(np.int64)
-    chain = StabilizerChain(d, base_hint=[(k * r) % d for k in range(d - 2)])
-    chain._insert(alpha.images)
-    for j in range(1, d - 2):
-        shift = (j * r) % d
-        sigma = ((beta_t[(idx - shift) % d] + shift) % d).astype(np.int32)
-        chain._insert(sigma)
-        if chain.order() == target:
-            chain.complete = True
-            return True
-    chain._insert(beta.images)
-    if chain.order() == target:
-        chain.complete = True
+    if r1 == r2 and _ladder_bound(alpha, beta, r1) == target:
         return True
-    chain._verify_sweep(target)
-    return chain.order() == target
+    chain = build_chain([alpha, beta], known_order=target)
+    return group_order(chain) == target

@@ -123,7 +123,7 @@ def test_output_deterministic(capsys):
 GOLDEN = Path(__file__).parent / "golden"
 
 
-@pytest.mark.parametrize("command,n", [("verify", 3), ("oracle", 4)])
+@pytest.mark.parametrize("command,n", [("verify", 3), ("verify", 10), ("oracle", 4)])
 @pytest.mark.parametrize("fmt", ["tsv", "json"])
 def test_output_matches_golden(capsys, command, n, fmt):
     rc, out, _ = run(capsys, [command, "--profile", "toy", "--n", str(n), "--format", fmt])

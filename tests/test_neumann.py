@@ -99,6 +99,24 @@ def test_cutoff_degenerate_profile_raises():
         cutoff(squeezed, 1)
 
 
+def test_cutoff_memo_agrees_with_fresh_contexts(toy_seqs):
+    ctx = GroupContext(toy_seqs)
+    first = [cutoff(ctx, n) for n in range(13)]
+    assert [cutoff(ctx, n) for n in range(13)] == first
+    assert first == [cutoff(GroupContext(toy_seqs), n) for n in range(13)]
+    preset = GroupContext(SequenceSet.preset([101] * 20, [40] * 19 + [1]))
+    assert cutoff(preset, 8) == cutoff(preset, 8) == 20
+    assert not is_trivial(preset, "BaBAbabA")
+    assert not is_trivial(preset, "BaBAbabA")
+
+
+def test_cutoff_failure_is_not_memoised():
+    squeezed = GroupContext(SequenceSet.preset(d=[7] * 4, r=[3] * 4))
+    for _ in range(2):
+        with pytest.raises(SpreadAssertionFailed):
+            cutoff(squeezed, 1)
+
+
 # --- single-coordinate evaluation ------------------------------------------
 
 def test_coordinate_eval_identities(toy_ctx):

@@ -127,15 +127,39 @@ def test_verify_alt_generation_fixed_tuples():
 
 
 def test_verify_alt_generation_toy_prefix(toy_seqs):
-    for k in (1, 2):
-        assert S.verify_alt_generation(toy_seqs.d_of(k), toy_seqs.r_of(k), toy_seqs.r_of(k))
+    # coordinates 1..40 reach d = 709, far past what a chain can certify
+    assert toy_seqs.d_of(40) > 700
+    for k in range(1, 41):
+        d, r = toy_seqs.d_of(k), toy_seqs.r_of(k)
+        assert S.verify_alt_generation(d, r, r), (k, d, r)
 
 
 def test_ladder_and_generic_agree():
-    # r1 == r2 takes the seeded-base route; force the generic route too
+    # r1 == r2 takes the orbit-product route; the full sweep is generic
     gens = list(P.make_generators(11, 3, 3))
     assert S.group_order(S.build_chain(gens)) == math.factorial(11) // 2
     assert S.verify_alt_generation(11, 3, 3)
+
+
+SMALL_LADDERS = [
+    (d, r) for d in (5, 7, 11, 13, 17) for r in range(1, (d - 1) // 2 + 1)
+]
+
+
+@pytest.mark.parametrize("d,r", SMALL_LADDERS)
+def test_ladder_certificate_matches_full_sweep(d, r):
+    want = math.factorial(d) // 2
+    assert S.verify_alt_generation(d, r, r)
+    assert S._ladder_bound(*P.make_generators(d, r, r), r) == want
+    assert S.group_order(S.build_chain(list(P.make_generators(d, r, r)))) == want
+
+
+def test_ladder_bound_refuses_a_prefix_it_does_not_fix():
+    # the 3-cycle (0, 1, 2) against the ladder of r = 2: sigma_j moves
+    # 2j + 1, which is an earlier base point for some j, so no bound
+    alpha, _ = P.make_generators(11, 2, 2)
+    assert S._ladder_bound(alpha, P.cycle_from([0, 1, 2], 11), 2) == 0
+    assert S._ladder_bound(P.power(alpha, 2), P.make_generators(11, 2, 2)[1], 2) == 0
 
 
 def test_verify_rejects_bad_degree():
