@@ -117,18 +117,30 @@ def test_output_deterministic(capsys):
         assert out1 == out2
 
 
-# Captured from the dense-kernel implementation with
-#   python3 -m bhneumann.cli COMMAND --profile toy --n N --format FMT
-# and kept fixed, so kernel rewrites must reproduce them byte for byte.
+# Captured from the parent code of each rewrite that could change them with
+#   python3 -m bhneumann.cli COMMAND --profile P --n N --format FMT
+# (verify and oracle before the sparse kernel, growth before the bound
+# columns became plain floats) and kept fixed, so rewrites must reproduce
+# them byte for byte.
 GOLDEN = Path(__file__).parent / "golden"
 
 
-@pytest.mark.parametrize("command,n", [("verify", 3), ("verify", 10), ("oracle", 4)])
+@pytest.mark.parametrize(
+    "command,profile,n",
+    [
+        pytest.param("verify", "toy", 3, id="verify-3"),
+        pytest.param("verify", "toy", 10, id="verify-10"),
+        pytest.param("oracle", "toy", 4, id="oracle-4"),
+        pytest.param("growth", "toy", 25, id="growth-toy-25"),
+        pytest.param("growth", "builtin", 20, id="growth-builtin-20"),
+        pytest.param("growth", "bprime", 12, id="growth-bprime-12"),
+    ],
+)
 @pytest.mark.parametrize("fmt", ["tsv", "json"])
-def test_output_matches_golden(capsys, command, n, fmt):
-    rc, out, _ = run(capsys, [command, "--profile", "toy", "--n", str(n), "--format", fmt])
+def test_output_matches_golden(capsys, command, profile, n, fmt):
+    rc, out, _ = run(capsys, [command, "--profile", profile, "--n", str(n), "--format", fmt])
     assert rc == 0
-    assert out == (GOLDEN / f"{command}_toy_n{n}.{fmt}").read_text()
+    assert out == (GOLDEN / f"{command}_{profile}_n{n}.{fmt}").read_text()
 
 
 # --- exit code 1 paths -----------------------------------------------------------
