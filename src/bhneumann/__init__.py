@@ -60,7 +60,6 @@ from .neumann import (
 )
 from .growth import (
     BoundTable,
-    LogValue,
     bound_table,
     envelope_report,
     exact_sandwich,
@@ -126,7 +125,6 @@ __all__ = [
     "spread_ok",
     "witness",
     "BoundTable",
-    "LogValue",
     "bound_table",
     "envelope_report",
     "exact_sandwich",

@@ -20,7 +20,7 @@ import numpy as np
 from . import _kernels
 from .errors import BHNeumannError, BudgetExceeded
 from .growth import bound_table, envelope_report, exact_sandwich, stirling_check
-from .neumann import GroupContext, ball, coordinate_eval, spread_ok, witness
+from .neumann import GroupContext, _identity_at, ball, spread_ok, witness
 from .schreier import build_chain, group_order, verify_alt_generation
 from .perm import make_generators
 from .seqgen import GrowthProfile, SequenceSet
@@ -220,9 +220,7 @@ def _check_commuting(cfg: RunConfig, ctx: GroupContext, report: _Report) -> None
         w = commutator("b", conjugate("b", "a" * ctx.offset(n)))
         codes = to_codes(w)
         for m in range(1, top + 1):
-            images = _kernels.eval_word(ctx.letter_tables(m), codes)
-            trivial = bool((images == np.arange(ctx.degree(m), dtype=np.int32)).all())
-            if trivial != (m != n):
+            if _identity_at(ctx, codes, m) != (m != n):
                 bad += 1
     report.add(
         "commuting",

@@ -1,25 +1,24 @@
-"""Separation growth bounds in log domain, exact at desk scale.
+"""Separation growth bounds as natural-log magnitudes.
 
 Quantities like d(n)!/2 overflow doubles almost immediately, so every
-bound is carried as a natural-log magnitude with an optional exact big
-integer alongside when the value is small enough to materialize.  The
-magnitude path and the exact path are computed independently (summed
-logs or lgamma versus big-integer factorials) so they can be checked
-against each other.
+bound is carried as a plain float, the natural log of its value, from
+summed logs (or lgamma beyond the table).  The one big-integer check is
+``exact_sandwich``: it computes its own factorials while they stay small
+enough to materialize, independently of the magnitudes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from itertools import accumulate
+from typing import Callable
 
 import numpy as np
 
 from .seqgen import GrowthProfile, SequenceSet
 
 __all__ = [
-    "LogValue",
     "BoundTable",
     "log_factorial",
     "rf_lower_points",
@@ -34,24 +33,6 @@ __all__ = [
 _EXACT_LIMIT = 2000
 _TABLE_LIMIT = 1_000_000
 _cumlog: np.ndarray | None = None
-
-
-@dataclass(frozen=True)
-class LogValue:
-    """A positive quantity by its natural log, with optional exact value.
-
-    When exact is present it must agree with the magnitude to 1e-9
-    relative; callers drop it once values leave desk scale.
-    """
-
-    magnitude: float
-    exact: int | None = None
-
-    def consistent(self) -> bool:
-        if self.exact is None:
-            return True
-        diff = abs(math.log(self.exact) - self.magnitude)
-        return diff <= 1e-9 * max(1.0, abs(self.magnitude))
 
 
 @dataclass
@@ -73,27 +54,17 @@ def _cumlog_table() -> np.ndarray:
     return _cumlog
 
 
-def log_factorial(n: int) -> LogValue:
-    """log(n!) by summed logs up to 10^6 and lgamma beyond.
-
-    The exact big integer rides along for n <= 2000.  The magnitude is
-    never derived from the exact value, so the two representations stay
-    independent checks of each other.
-    """
+def log_factorial(n: int) -> float:
+    """log(n!) from a cumulative sum of logs up to 10^6, lgamma beyond."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n <= _TABLE_LIMIT:
-        magnitude = float(_cumlog_table()[n])
-    else:
-        magnitude = math.lgamma(n + 1)
-    exact = math.factorial(n) if n <= _EXACT_LIMIT else None
-    return LogValue(magnitude, exact)
+        return float(_cumlog_table()[n])
+    return math.lgamma(n + 1)
 
 
-def _half_factorial(d: int) -> LogValue:
-    lf = log_factorial(d)
-    exact = lf.exact // 2 if lf.exact is not None and d >= 2 else None
-    return LogValue(lf.magnitude - math.log(2.0), exact)
+def _half_factorial(d: int) -> float:
+    return log_factorial(d) - math.log(2.0)
 
 
 def _seqs_of(ctx) -> SequenceSet:
@@ -122,60 +93,63 @@ def rf_lower_points(ctx, M: int) -> list[dict]:
     return rows
 
 
-def rf_upper(ctx, n: int) -> LogValue:
+def rf_upper(ctx, n: int) -> float:
     """Upper bound at length n: one coordinate of size d(n)!/2 suffices."""
     seqs = _seqs_of(ctx)
     return _half_factorial(seqs.d_of(n))
 
 
-def full_rf_upper(ctx, n: int) -> LogValue:
-    """Upper bound for the all-elements variant at length n.
+def full_rf_upper(ctx, N: int) -> list[float]:
+    """Upper bounds for the all-elements variant at lengths n = 1..N.
 
     The product of the first 2n coordinates separates everything in the
-    radius-n ball, giving sum of log(d(k)!) minus 2n log 2.  The exact
-    integer is carried while every factor stays at desk scale.
+    radius-n ball, so the bound at n is the sum of log(d(k)!/2) over
+    k <= 2n.  One running sum over k = 1..2N yields every n at once.
     """
     seqs = _seqs_of(ctx)
-    seqs.ensure(2 * n)
-    magnitude = 0.0
-    exact: int | None = 1
-    for k in range(1, 2 * n + 1):
-        lf = _half_factorial(seqs.d_of(k))
-        magnitude += lf.magnitude
-        exact = exact * lf.exact if exact is not None and lf.exact is not None else None
-    return LogValue(magnitude, exact)
+    seqs.ensure(2 * N)
+    uppers = []
+    total = 0.0
+    for k in range(1, 2 * N + 1):
+        total += _half_factorial(seqs.d_of(k))
+        if k % 2 == 0:
+            uppers.append(total)
+    return uppers
 
 
 def bound_table(ctx, N: int) -> BoundTable:
     """Both bound families on 1..N, with the staircase of lower points.
 
-    The lower column at n is the best proven point with argument <= n
-    (0.0 before the first point applies).
+    The lower column at n is the best proven point with word length <= n
+    (0.0 before the first point applies): each point goes into the bucket
+    of its word length, and a running max over the buckets gives the
+    staircase.  The full_rf column comes from one ``full_rf_upper`` call.
     """
     seqs = _seqs_of(ctx)
-    seqs.ensure(2 * N)
     points = rf_lower_points(seqs, N)
+    step = [0.0] * (N + 1)
+    for row in points:
+        if row["n"] <= N:
+            step[row["n"]] = max(step[row["n"]], row["lower"])
+    lower = list(accumulate(step, max))
+    full = full_rf_upper(seqs, N)
     table = BoundTable()
     for n in range(1, N + 1):
-        best = 0.0
-        for row in points:
-            if row["n"] <= n:
-                best = max(best, row["lower"].magnitude)
+        best = lower[n]
         up = rf_upper(seqs, n)
         table.rows.append(
-            {"n": n, "lower_log": best, "upper_log": up.magnitude, "kind": "rf"}
+            {"n": n, "lower_log": best, "upper_log": up, "kind": "rf"}
         )
-        full_up = full_rf_upper(seqs, n)
         table.rows.append(
             {
                 "n": n,
                 "lower_log": best,
-                "upper_log": full_up.magnitude,
+                "upper_log": full[n - 1],
                 "kind": "full_rf",
             }
         )
     table.meta["points"] = [
-        {"m": row["m"], "n": row["n"], "lower_log": row["lower"].magnitude}
+        {"m": row["m"], "n": row["n"], "lower_log": row["lower"]}
         for row in points
     ]
     return table
@@ -218,9 +192,9 @@ def stirling_check(
         llg = math.log(lg)
         lllg = math.log(llg)
         g = _g_of(lg)
-        err_a = abs(log_factorial(K * g).magnitude - K * lg)
+        err_a = abs(log_factorial(K * g) - K * lg)
         term_a = lg * lllg / llg
-        err_b = log_factorial(K * n * g).magnitude - K * n * lg
+        err_b = log_factorial(K * n * g) - K * n * lg
         term_b = n * lg * math.log(n) / llg
         rows.append(
             {

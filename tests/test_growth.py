@@ -1,4 +1,4 @@
-"""Growth bounds: log-domain magnitudes against exact big integers."""
+"""Growth bounds: log-domain magnitudes against big integers computed here."""
 
 import math
 
@@ -7,7 +7,6 @@ import pytest
 from bhneumann import (
     GroupContext,
     GrowthProfile,
-    LogValue,
     SequenceSet,
     ball,
     bound_table,
@@ -21,24 +20,30 @@ from bhneumann import (
 )
 
 
+def close_to_log(got: float, exact: int) -> bool:
+    """got equals log(exact) to 1e-9 relative; exact is a big integer."""
+    want = math.log(exact)
+    return abs(got - want) <= 1e-9 * max(1.0, abs(want))
+
+
 # --- log_factorial ---------------------------------------------------------
 
 def test_log_factorial_small_exact():
-    assert log_factorial(0) == LogValue(0.0, 1)
-    assert log_factorial(1) == LogValue(0.0, 1)
-    assert log_factorial(5).exact == 120
-    assert log_factorial(17).exact == 355_687_428_096_000
-    assert log_factorial(2001).exact is None
+    assert log_factorial(0) == 0.0
+    assert log_factorial(1) == 0.0
+    assert isinstance(log_factorial(5), float)
+    assert close_to_log(log_factorial(5), 120)
+    assert close_to_log(log_factorial(17), 355_687_428_096_000)
 
 
 def test_log_factorial_consistent():
-    for n in (0, 1, 2, 3, 10, 100, 500, 1999, 2000):
-        assert log_factorial(n).consistent()
+    for n in (0, 1, 2, 3, 10, 100, 500, 1999, 2000, 2001):
+        assert close_to_log(log_factorial(n), math.factorial(n))
 
 
 def test_log_factorial_matches_lgamma():
     for n in (0, 1, 2, 5, 10, 100, 10_000, 999_999, 1_000_000, 1_000_001, 2_000_000):
-        got = log_factorial(n).magnitude
+        got = log_factorial(n)
         want = math.lgamma(n + 1)
         assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
 
@@ -46,19 +51,13 @@ def test_log_factorial_matches_lgamma():
 def test_log_factorial_stirling_sandwich():
     # integral bounds: n log n - n + 1 <= log n! <= n log n
     for n in (2, 3, 10, 77, 1000, 33_333, 100_000):
-        lf = log_factorial(n).magnitude
+        lf = log_factorial(n)
         assert n * math.log(n) - n + 1 <= lf <= n * math.log(n)
 
 
 def test_log_factorial_rejects_negative():
     with pytest.raises(ValueError):
         log_factorial(-1)
-
-
-def test_logvalue_consistency_detects_mismatch():
-    assert not LogValue(1.0, exact=10).consistent()
-    assert LogValue(math.log(10.0), exact=10).consistent()
-    assert LogValue(12345.6789, exact=None).consistent()
 
 
 # --- bound families ----------------------------------------------------------
@@ -69,32 +68,32 @@ def test_rf_lower_points_preset():
     assert len(rows) == 1
     row = rows[0]
     assert row["m"] == 1 and row["n"] == 24 and row["kind"] == "rf"
-    assert row["lower"].exact == 177_843_714_048_000  # 17!/2
-    assert row["lower"].consistent()
+    assert math.factorial(17) // 2 == 177_843_714_048_000
+    assert close_to_log(row["lower"], 177_843_714_048_000)
 
 
 def test_rf_upper_preset():
     seqs = SequenceSet.preset(d=[17], r=[5])
-    up = rf_upper(seqs, 1)
-    assert up.exact == 177_843_714_048_000
-    assert up.consistent()
+    assert close_to_log(rf_upper(seqs, 1), math.factorial(17) // 2)
 
 
 def test_full_rf_upper_preset_product():
     seqs = SequenceSet.preset(d=[5, 5], r=[2, 2])
     full = full_rf_upper(seqs, 1)
-    assert full.exact == 3600  # (5!/2)^2
-    assert full.consistent()
+    assert len(full) == 1
+    assert (math.factorial(5) // 2) ** 2 == 3600
+    assert close_to_log(full[0], 3600)
 
 
 def test_bound_chain_toy(toy_ctx):
     # single-coordinate bound <= product bound <= ball^2 scaled bound
+    full = full_rf_upper(toy_ctx, 4)
+    assert len(full) == 4
     for n in range(1, 5):
-        single = rf_upper(toy_ctx, n).magnitude
-        full = full_rf_upper(toy_ctx, n).magnitude
-        assert single <= full
+        single = rf_upper(toy_ctx, n)
+        assert single <= full[n - 1]
         b = len(ball(toy_ctx, n))
-        assert full <= b * b * rf_upper(toy_ctx, 2 * n).magnitude
+        assert full[n - 1] <= b * b * rf_upper(toy_ctx, 2 * n)
 
 
 def test_bound_table_toy(toy_ctx):
@@ -120,6 +119,59 @@ def test_bound_table_accepts_bare_sequences(toy_seqs):
 def test_bound_table_builtin_small():
     seqs = SequenceSet(GrowthProfile.builtin())
     assert bound_table(seqs, 5).consistent()
+
+
+def pointwise_table(seqs, N):
+    """bound_table rows by the definition, one n at a time: the lower
+    column is the max over every point of word length <= n, the full_rf
+    column a fresh sum over k <= 2n."""
+    points = rf_lower_points(seqs, N)
+    rows = []
+    for n in range(1, N + 1):
+        best = 0.0
+        for row in points:
+            if row["n"] <= n:
+                best = max(best, row["lower"])
+        full = 0.0
+        for k in range(1, 2 * n + 1):
+            full += log_factorial(seqs.d_of(k)) - math.log(2.0)
+        rows.append({"n": n, "lower_log": best, "upper_log": rf_upper(seqs, n), "kind": "rf"})
+        rows.append({"n": n, "lower_log": best, "upper_log": full, "kind": "full_rf"})
+    return rows
+
+
+# d(m) and r(m) of a preset whose lower points (word lengths 20, 8, 16, 12
+# for m = 1..4) are out of length order, and whose point at length 16
+# (d = 13) lies below the staircase already reached at 12 (d = 23).
+SHUFFLED = dict(d=[29, 11, 13, 23] + [7] * 36, r=[4, 1, 3, 2] + [50] * 36)
+# two points at word length 12, the larger (d = 23) first
+TIED = dict(d=[23, 13] + [7] * 22, r=[2, 2] + [50] * 22)
+
+
+@pytest.mark.parametrize(
+    "make,N",
+    [
+        pytest.param(lambda: SequenceSet(GrowthProfile.toy()), 40, id="toy-40"),
+        pytest.param(lambda: SequenceSet(GrowthProfile.builtin()), 15, id="builtin-15"),
+        pytest.param(lambda: SequenceSet(GrowthProfile.bprime()), 12, id="bprime-12"),
+        pytest.param(lambda: SequenceSet.preset(**SHUFFLED), 20, id="shuffled-20"),
+        pytest.param(lambda: SequenceSet.preset(**TIED), 12, id="tied-12"),
+    ],
+)
+def test_bound_table_matches_pointwise_definition(make, N):
+    seqs = make()
+    table = bound_table(seqs, N)
+    # exact float equality: the one-pass table adds the same terms in the
+    # same order as the pointwise sums
+    assert table.rows == pointwise_table(seqs, N)
+
+
+def test_bound_table_staircase_out_of_length_order():
+    seqs = SequenceSet.preset(**SHUFFLED)
+    lows = [row["lower_log"] for row in bound_table(seqs, 20).rows if row["kind"] == "rf"]
+    half = {d: log_factorial(d) - math.log(2.0) for d in (11, 23, 29)}
+    want = [0.0] * 7 + [half[11]] * 4 + [half[23]] * 8 + [half[29]]
+    assert lows == want
 
 
 # --- factorial expansion check ------------------------------------------------
