@@ -120,7 +120,7 @@ def test_output_deterministic(capsys):
 # Captured from the parent code of each rewrite that could change them with
 #   python3 -m bhneumann.cli COMMAND --profile P --n N --format FMT
 # (verify and oracle before the sparse kernel, growth before the bound
-# columns became plain floats) and kept fixed, so rewrites must reproduce
+# columns became plain floats, build before the window sieve) and kept fixed, so rewrites must reproduce
 # them byte for byte.
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -134,6 +134,9 @@ GOLDEN = Path(__file__).parent / "golden"
         pytest.param("growth", "toy", 25, id="growth-toy-25"),
         pytest.param("growth", "builtin", 20, id="growth-builtin-20"),
         pytest.param("growth", "bprime", 12, id="growth-bprime-12"),
+        pytest.param("build", "toy", 150, id="build-toy-150"),
+        pytest.param("build", "builtin", 60, id="build-builtin-60"),
+        pytest.param("build", "bprime", 40, id="build-bprime-40"),
     ],
 )
 @pytest.mark.parametrize("fmt", ["tsv", "json"])
