@@ -4,15 +4,23 @@ The pipeline is f -> d -> r.  A profile fixes the target curve F through
 its natural log; the size floor is f(n) = ceil(log F(n + C2) / log log
 F(n + C2)) unless the profile prescribes f directly (the linear "toy"
 profiles).  The divisor d(n) is the smallest prime >= max(f(n), 5), and
-the offset r(n) is found by a greedy scan over the window
-(n, 18n - 1] subject to two admissibility conditions against
-all earlier indices m < n:
+the offset r(n) is the first k in the window (n, 18n - 1] that meets two
+admissibility conditions against all earlier indices m < n:
 
-  (a)  r(n) is not congruent to +-r(m) or +-2 r(m) modulo d(m), and
-  (b)  r(m) is not congruent to +-r(n) or +-2 r(n) modulo d(n).
+  (a)  k is not congruent to +-r(m) or +-2 r(m) modulo d(m), and
+  (b)  r(m) is not congruent to +-k or +-2k modulo d(n).
 
-The scan takes the first admissible candidate, so equal inputs always
-give equal sequences.
+The window is sieved, not scanned candidate by candidate.  Condition (a)
+does not depend on n, so one bitmap over k in [1, H] carries it for the
+whole sequence: each derived index marks its four residues by first hit
+plus stride d(m), and when a window edge passes H the bitmap doubles and
+only the new stretch is marked.  Condition (b) is, for d(n) odd,
+k = +-r(m) or +-r(m)/2 (mod d(n)); each window marks those at most
+4(n - 1) residues in one vectorised pass.  The first position neither
+condition blocks is r(n), and its place in the window is the number of
+rejected candidates, so equal inputs always give equal sequences.
+Moduli of 2**62 and above (the bprime profile reaches them) are handled
+with exact Python integers.
 """
 
 from __future__ import annotations
@@ -20,6 +28,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 from ._primes import is_prime, next_prime, sieve
 from .errors import (
@@ -157,37 +167,120 @@ def f_of(profile: GrowthProfile, n: int) -> int:
     return math.ceil(y / math.log(y))
 
 
-def _scan_window(
-    lo: int, width: int, prior: list[tuple[int, int]], d_n: int
-) -> tuple[int, int]:
-    """First admissible offset in (lo, lo + width], plus the reject count.
+# Offsets, window edges and the moduli the sieve keeps in int64 stay below
+# 2**62, so a residue plus a modulus never overflows.  Condition (b) takes
+# a larger d(n) in exact object-dtype arithmetic; condition (a) caps a
+# larger d(m) at this bound (see _OffsetSieve.add).
+_INT64_SAFE = 1 << 62
 
-    prior holds (d(m), r(m)) for every earlier index; admissibility is
-    conditions (a) and (b) from the module docstring.  Raises
-    NoAdmissibleResidue when the whole window is rejected.
+
+def _mark(view: np.ndarray, lo: int, c: np.ndarray, d) -> None:
+    """Set view[k - lo - 1] for every k in (lo, lo + len(view)] with k = c (mod d).
+
+    c holds residues in [0, d] and d their moduli (an array of the same
+    length or one int); each residue is placed at its first hit above lo
+    and then strided by its modulus until it leaves the stretch.  The
+    arithmetic runs in place: fresh temporaries of this size cost more
+    than the operations themselves.
     """
-    rejected = 0
-    for k in range(lo + 1, lo + width + 1):
-        ok = True
-        for dm, rm in prior:
-            km = k % dm
-            if km == rm % dm or km == (-rm) % dm:
-                ok = False
-                break
-            if km == (2 * rm) % dm or km == (-2 * rm) % dm:
-                ok = False
-                break
-            rn = rm % d_n
-            if rn == k % d_n or rn == (-k) % d_n:
-                ok = False
-                break
-            if rn == (2 * k) % d_n or rn == (-2 * k) % d_n:
-                ok = False
-                break
-        if ok:
-            return k, rejected
-        rejected += 1
-    raise NoAdmissibleResidue(0, lo, lo + width)
+    first = lo % d + 1  # lo + 1 as a residue in [1, d]
+    j = np.multiply(c < first, d, dtype=c.dtype)
+    j += c
+    j -= first  # j = k - lo - 1 for the first hit k
+    while True:
+        inside = j < len(view)
+        j = j[inside]
+        if not j.size:
+            return
+        view[j.astype(np.intp, copy=False)] = True
+        if np.ndim(d):
+            d = d[inside]
+        j += d
+
+
+class _OffsetSieve:
+    """Blocked window positions for the greedy offset search.
+
+    Condition (a) depends only on k and on the indices already added, so
+    it lives in one persistent bitmap over k in [0, H].  Each added index
+    marks its residues +-r, +-2r (mod d) once; when a window reaches past
+    H, the bitmap doubles and only the new stretch is marked, for all
+    indices at once.  Condition (b) depends on the modulus of the index
+    being derived and is marked per window.
+    """
+
+    def __init__(self) -> None:
+        self._blocked = np.zeros(1, dtype=bool)  # position k at index k
+        self._res: list[int] = []  # condition (a) residues ...
+        self._mod: list[int] = []  # ... and their moduli, capped
+        self._r = np.empty(64, dtype=np.int64)  # offsets, for condition (b)
+        self._r_max = -1
+        self._count = 0
+
+    def add(self, d: int, r: int) -> None:
+        """Record index (d, r): mark its condition (a) residues up to H."""
+        if not 0 <= r < _INT64_SAFE or d < 1:
+            raise ValueError(f"offset sieve needs d >= 1 and 0 <= r < 2**62, got {(d, r)}")
+        res = [r % d, -r % d, 2 * r % d, -2 * r % d]
+        if d >= _INT64_SAFE:
+            # The bitmap never reaches 2**62, so such a modulus hits each
+            # residue at most once, exactly as the stride 2**62 does.
+            res = [c for c in res if c < _INT64_SAFE]
+            d = _INT64_SAFE
+        self._res += res
+        self._mod += [d] * len(res)
+        _mark(self._blocked[1:], 0, np.array(res, dtype=np.int64), d)
+        if self._count == len(self._r):
+            self._r = np.concatenate([self._r, np.empty_like(self._r)])
+        self._r[self._count] = r
+        self._r_max = max(self._r_max, r)
+        self._count += 1
+
+    def _grow(self, hi: int) -> None:
+        old = len(self._blocked) - 1
+        if hi <= old:
+            return
+        top = max(2 * old, hi)
+        if top >= _INT64_SAFE:
+            raise ValueError(f"offset window edge {hi} is beyond the sieve's range")
+        blocked = np.zeros(top + 1, dtype=bool)
+        blocked[: old + 1] = self._blocked
+        res = np.array(self._res, dtype=np.int64)
+        _mark(blocked[old + 1 :], old, res, np.array(self._mod, dtype=np.int64))
+        self._blocked = blocked
+
+    def scan(self, lo: int, width: int, d_n: int) -> tuple[int, int]:
+        """First admissible offset in (lo, lo + width], plus the reject count.
+
+        d_n is the odd modulus of the index being derived.  A position is
+        blocked by condition (a) through the bitmap and by condition (b)
+        when k = +-r(m) or +-r(m)/2 (mod d_n) for some added r(m); the
+        first position neither blocks is the offset, and its place in the
+        window is the number of candidates rejected before it.  Raises
+        NoAdmissibleResidue when the whole window is blocked.
+        """
+        if lo < 0 or width < 1 or d_n % 2 == 0:
+            raise ValueError(f"bad window ({lo}, {lo + width}] or even modulus {d_n}")
+        hi = lo + width
+        self._grow(hi)
+        window = self._blocked[lo + 1 : hi + 1].copy()
+        m = self._count
+        c = np.empty(4 * m, dtype=object if d_n >= _INT64_SAFE else np.int64)
+        a, neg, half, neg_half = c[:m], c[m : 2 * m], c[2 * m : 3 * m], c[3 * m :]
+        a[:] = self._r[:m]
+        if self._r_max >= d_n:
+            a %= d_n
+        np.subtract(d_n, a, out=neg)
+        np.bitwise_and(a, 1, out=half)  # a * 2^-1 mod d_n, d_n odd
+        half *= d_n
+        half += a
+        half >>= 1
+        np.subtract(d_n, half, out=neg_half)
+        _mark(window, lo, c, d_n)
+        i = int(np.argmin(window))
+        if window[i]:
+            raise NoAdmissibleResidue(0, lo, hi)
+        return lo + 1 + i, i
 
 
 class SequenceSet:
@@ -206,6 +299,7 @@ class SequenceSet:
         self._r: list[int] = []
         self.certificates: dict[int, dict] = {}
         self.is_preset = False
+        self._sieve = _OffsetSieve()
 
     @classmethod
     def preset(
@@ -262,8 +356,25 @@ class SequenceSet:
         return self._r[n - 1]
 
     def _derive(self, n: int) -> None:
+        """Derive f(n), d(n) and r(n) and record the certificate of index n.
+
+        d(n) must pass the Bertrand bracket d <= 2f and the floor
+        d >= 16n (DivisorTooSmall).  r(n) is the first position of the
+        window (n, 18n - 1] that the offset sieve leaves open, and the
+        positions before it are the reject count; a fully blocked window
+        raises NoAdmissibleResidue, and an offset not below d(n)/3 raises
+        SequenceConstructionError.  A divisor past the deterministic
+        Miller-Rabin range is reported as a SequenceConstructionError for
+        index n.  Only a fully derived index reaches the sieve and the
+        tables.
+        """
         f = f_of(self.profile, n)
-        d = next_prime(max(f, 5))
+        try:
+            d = next_prime(max(f, 5))
+        except ValueError as exc:  # beyond the deterministic Miller-Rabin range
+            raise SequenceConstructionError(
+                f"no certified prime divisor d({n}) at or above f({n}) = {f}: {exc}"
+            ) from exc
         if f >= 3 and d > 2 * f:
             raise SequenceConstructionError(
                 f"next prime after {f} exceeded the Bertrand bound {2 * f}"
@@ -271,15 +382,15 @@ class SequenceSet:
         if d < 16 * n:
             raise DivisorTooSmall(n, d)
         width = 17 * n - 1
-        prior = list(zip(self._d, self._r))
         try:
-            k, rejected = _scan_window(n, width, prior, d)
+            k, rejected = self._sieve.scan(n, width, d)
         except NoAdmissibleResidue as exc:
             raise NoAdmissibleResidue(n, n, n + width) from exc
         if not 3 * k < d:
             raise SequenceConstructionError(
                 f"offset r({n}) = {k} is not below d({n})/3 = {d / 3:.2f}"
             )
+        self._sieve.add(d, k)
         self._f.append(f)
         self._d.append(d)
         self._r.append(k)
@@ -305,6 +416,12 @@ class SequenceSet:
         (checked for n >= 3) and the tail bound sum(1/d(m)) < 1/16.
         """
         self.ensure(N)
+        small = all(abs(x) < _INT64_SAFE for x in self._d[:N] + self._r[:N])
+        dtype = np.int64 if small else object
+        D = np.array(self._d[:N], dtype=dtype)
+        R = np.array(self._r[:N], dtype=dtype)
+        # condition (a): row n tests r(n) against these residues of every m < n
+        blocked_a = np.stack([R % D, -R % D, 2 * R % D, -2 * R % D])
         rows = []
         series = 0.0
         all_hard = True
@@ -316,15 +433,11 @@ class SequenceSet:
             floor_ok = d >= 16 * n
             window_ok = n <= d // 4
             offset_ok = n < r <= 18 * n - 1 and 3 * r < d
-            pair_ok = True
-            for m in range(1, n):
-                dm, rm = self._d[m - 1], self._r[m - 1]
-                km = r % dm
-                if km in ((rm) % dm, (-rm) % dm, (2 * rm) % dm, (-2 * rm) % dm):
-                    pair_ok = False
-                rn = rm % d
-                if rn in (r % d, (-r) % d, (2 * r) % d, (-2 * r) % d):
-                    pair_ok = False
+            blocked_b = np.array([r % d, -r % d, 2 * r % d, -2 * r % d], dtype=dtype)
+            pair_ok = not (
+                (blocked_a[:, : n - 1] == r % D[: n - 1]).any()
+                or ((R[: n - 1] % d)[:, None] == blocked_b).any()
+            )
             if n >= 3:
                 lln = math.log(math.log(n))
                 floor_val = (

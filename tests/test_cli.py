@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from bhneumann.cli import RunConfig, main
+from bhneumann import SequenceSet, cli, growth
+from bhneumann.cli import RunConfig, _Report, main
 
 
 def run(capsys, argv):
@@ -167,6 +168,73 @@ def test_build_error_reported_as_section(capsys, tmp_path):
 
 
 # --- exit code 2 paths ------------------------------------------------------------
+
+@pytest.mark.parametrize("command,n", [("build", 8), ("growth", 4)])
+def test_divisor_beyond_primality_range_reported_as_section(capsys, tmp_path, command, n):
+    # with C2 = 2390, f(8) passes the deterministic Miller-Rabin bound
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"profile": "bprime", "params": {"C2": 2390}}))
+    rc, out, err = run(capsys, [command, "--config", str(cfgfile), "--n", str(n),
+                                "--format", "json"])
+    assert rc == 1 and err == ""
+    (row,) = json.loads(out)["error"]
+    assert row["name"] == "SequenceConstructionError" and "d(8)" in row["detail"]
+
+
+def test_growth_table_profile_keeps_rows_before_envelope_error(capsys, tmp_path):
+    # the envelope reads log F at 72n + 4, past the end of this table
+    cfgfile = tmp_path / "cfg.json"
+    values = [50.0 * i + 5000 for i in range(1, 301)]
+    cfgfile.write_text(json.dumps({"profile": "table", "params": {"values": values}}))
+    rc, out, _ = run(capsys, ["growth", "--config", str(cfgfile), "--n", "5"])
+    assert rc == 1
+    sections = [line.split("\t")[0] for line in out.splitlines()]
+    assert sections == ["bound"] * 10 + ["stirling"] * 3 + ["error"]
+    assert "no value at index 364" in out
+
+
+@pytest.mark.parametrize("profile", ["toy", "builtin", "bprime"])
+def test_growth_builds_bound_table_once(capsys, monkeypatch, profile):
+    calls = []
+
+    def counted(ctx, N):
+        calls.append(N)
+        return real(ctx, N)
+
+    real = growth.bound_table
+    monkeypatch.setattr(growth, "bound_table", counted)
+    monkeypatch.setattr(cli, "bound_table", counted)
+    rc, _, _ = run(capsys, ["growth", "--profile", profile, "--n", "12"])
+    assert rc == 0 and calls == [12]
+
+
+def greedy_violations_oracle(seqs, top):
+    count = 0
+    for i in range(1, top + 1):
+        d, ri = seqs.d_of(i), seqs.r_of(i)
+        blocked = {ri % d, (-ri) % d, (2 * ri) % d, (-2 * ri) % d}
+        for j in range(1, top + 1):
+            if j != i and seqs.r_of(j) % d in blocked:
+                count += 1
+    return count
+
+
+@pytest.mark.parametrize(
+    "d,r",
+    [
+        ([83, 97, 113, 131], [2, 3, 5, 7]),
+        ([11, 13, 11, 17, 13], [2, 4, 9, 8, 2]),
+        ([2**89 - 1, 2**64 - 59, 101], [3, 2**64 - 62, 98]),
+    ],
+)
+def test_check_greedy_counts_like_the_pairwise_loop(d, r):
+    seqs = SequenceSet.preset(d, r)
+    report = _Report()
+    cli._check_greedy(RunConfig(n=len(d)), seqs, report)
+    row = report.sections["greedy"][1]
+    assert row["violations"] == greedy_violations_oracle(seqs, len(d))
+    assert row["ok"] == (row["violations"] == 0)
+
 
 def test_bad_profile_exits_2(capsys, tmp_path):
     cfgfile = tmp_path / "cfg.json"

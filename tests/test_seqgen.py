@@ -1,6 +1,7 @@
 """Sequence construction cross-checked by sieve and hand-rolled greedy."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from bhneumann import (
     next_prime,
     sieve,
 )
-from bhneumann.seqgen import _scan_window
+from bhneumann.seqgen import _OffsetSieve
 
 
 # --- independent oracles -------------------------------------------------
@@ -70,6 +71,56 @@ def greedy_oracle(f_vals: list[int]) -> list[tuple[int, int, int]]:
         r_seen.append(pick)
         rows.append((f, d, pick))
     return rows
+
+
+def scan_window_oracle(
+    lo: int, width: int, prior: list[tuple[int, int]], d_n: int
+) -> tuple[int, int]:
+    """The per-candidate loop the window sieve replaced, kept as its oracle.
+
+    First admissible offset in (lo, lo + width] against every (d(m), r(m))
+    in prior, plus the reject count; raises NoAdmissibleResidue when the
+    whole window is rejected.
+    """
+    rejected = 0
+    for k in range(lo + 1, lo + width + 1):
+        ok = True
+        for dm, rm in prior:
+            km = k % dm
+            if km == rm % dm or km == (-rm) % dm:
+                ok = False
+                break
+            if km == (2 * rm) % dm or km == (-2 * rm) % dm:
+                ok = False
+                break
+            rn = rm % d_n
+            if rn == k % d_n or rn == (-k) % d_n:
+                ok = False
+                break
+            if rn == (2 * k) % d_n or rn == (-2 * k) % d_n:
+                ok = False
+                break
+        if ok:
+            return k, rejected
+        rejected += 1
+    raise NoAdmissibleResidue(0, lo, lo + width)
+
+
+def sieve_window(
+    lo: int, width: int, prior: list[tuple[int, int]], d_n: int
+) -> tuple[int, int]:
+    """The library's window sieve on the same inputs as the oracle."""
+    sieve = _OffsetSieve()
+    for dm, rm in prior:
+        sieve.add(dm, rm)
+    return sieve.scan(lo, width, d_n)
+
+
+def outcome(scan, *args):
+    try:
+        return scan(*args)
+    except NoAdmissibleResidue:
+        return "blocked"
 
 
 # --- primality -----------------------------------------------------------
@@ -223,12 +274,110 @@ def test_divisor_too_small():
 def test_no_admissible_residue_direct():
     # window {6..9} has residues 1..4 mod 5, all blocked by r=1 at d=5
     with pytest.raises(NoAdmissibleResidue):
-        _scan_window(5, 4, [(5, 1)], 1_000_003)
+        sieve_window(5, 4, [(5, 1)], 1_000_003)
+    with pytest.raises(NoAdmissibleResidue):
+        scan_window_oracle(5, 4, [(5, 1)], 1_000_003)
 
 
 def test_scan_window_counts_rejections():
-    k, rejected = _scan_window(1, 16, [], 83)
+    k, rejected = sieve_window(1, 16, [], 83)
     assert k == 2 and rejected == 0
+
+
+def test_blocked_window_names_the_index():
+    # d = 1 blocks every position of the window through condition (a)
+    seqs = SequenceSet(GrowthProfile.toy())
+    seqs._sieve.add(1, 0)
+    with pytest.raises(NoAdmissibleResidue) as err:
+        seqs.ensure(1)
+    assert (err.value.n, err.value.lo, err.value.hi) == (1, 1, 17)
+    assert seqs.known == 0
+
+
+@pytest.mark.parametrize(
+    "profile,N",
+    [
+        (GrowthProfile.toy(), 300),
+        (GrowthProfile.builtin(), 150),
+        (GrowthProfile.bprime(), 150),
+    ],
+    ids=["toy-300", "builtin-150", "bprime-150"],
+)
+def test_sieve_matches_scan_loop_on_profiles(profile, N):
+    seqs = SequenceSet(profile)
+    seqs.ensure(N)
+    prior = []
+    for n in range(1, N + 1):
+        cert = seqs.certificates[n]
+        d = next_prime(max(f_of(profile, n), 5))
+        k, rejected = scan_window_oracle(n, 17 * n - 1, prior, d)
+        assert (cert["d"], cert["r"], cert["rejected"]) == (d, k, rejected), n
+        prior.append((d, k))
+
+
+def test_sieve_matches_scan_loop_on_random_priors():
+    # one sieve per trial takes indices and windows in turn, so the
+    # bitmap is grown and reused as it is in SequenceSet; small moduli
+    # make windows wider than d(n) and fully blocked windows common
+    rng = random.Random(7)
+    blocked = 0
+    for _ in range(150):
+        sieve = _OffsetSieve()
+        prior = []
+        for _ in range(rng.randint(1, 6)):
+            dm = rng.randint(1, 60)
+            rm = rng.randint(0, 200)
+            sieve.add(dm, rm)
+            prior.append((dm, rm))
+            lo = rng.randint(0, 150)
+            width = rng.randint(1, 250)
+            d_n = rng.randrange(1, 120, 2)
+            got = outcome(sieve.scan, lo, width, d_n)
+            assert got == outcome(scan_window_oracle, lo, width, prior, d_n)
+            blocked += got == "blocked"
+    assert 0 < blocked < 600
+
+
+@pytest.mark.parametrize("d_n", [2**64 - 59, 2**89 - 1, 1_000_003])
+def test_sieve_matches_scan_loop_past_int64(d_n):
+    big = [2**64 - 59, 2**89 - 1, 2**62 + 135]
+    for seed in range(20):
+        rng = random.Random(seed)
+        prior = [
+            (rng.choice(big + [97, 101, 1_000_003]), rng.randint(0, 90))
+            for _ in range(rng.randint(1, 12))
+        ]
+        lo, width = rng.randint(0, 30), rng.randint(1, 60)
+        assert outcome(sieve_window, lo, width, prior, d_n) == outcome(
+            scan_window_oracle, lo, width, prior, d_n
+        )
+
+
+@pytest.mark.parametrize("d_n", [2**64 - 59, 1_000_003])
+def test_sieve_moduli_past_int64_block_their_doubles(d_n):
+    # (4, 1) leaves k = 0 (mod 4) open; only the doubles 2r of the
+    # large-modulus indices block 104..196, so the offset is 200
+    prior = [(4, 1)] + [(2**89 - 1 if r % 2 else 2**64 - 59, r) for r in range(50, 100)]
+    assert sieve_window(100, 120, prior, d_n) == scan_window_oracle(100, 120, prior, d_n) == (200, 99)
+
+
+def test_toy_profile_breaks_at_4593():
+    # the greedy offset first reaches d/3: r(4593) = 24528 >= 73553 / 3
+    seqs = SequenceSet(GrowthProfile.toy())
+    with pytest.raises(SequenceConstructionError) as err:
+        seqs.ensure(4593)
+    assert "r(4593) = 24528" in str(err.value)
+    assert seqs.known == 4592
+    assert 3 * seqs.r_of(4592) < seqs.d_of(4592)
+
+
+def test_divisor_beyond_primality_range_names_the_index():
+    # with C2 = 2390, f(8) passes the deterministic Miller-Rabin bound
+    seqs = SequenceSet(GrowthProfile.bprime(C2=2390))
+    with pytest.raises(SequenceConstructionError) as err:
+        seqs.ensure(8)
+    assert "d(8)" in str(err.value)
+    assert seqs.known == 7
 
 
 def test_certificates_recorded(toy_seqs):
@@ -268,6 +417,35 @@ def test_validate_builtin_all_pass():
     assert report["ok"]
     assert report["info"]["growth_floor_ok"]
     assert report["info"]["series_ok"]
+
+
+def pairwise_ok_oracle(d: list[int], r: list[int]) -> list[bool]:
+    """Conditions (a) and (b) of every row against every earlier one, by loops."""
+    flags = []
+    for n in range(len(d)):
+        ok = True
+        for m in range(n):
+            dm, rm = d[m], r[m]
+            if r[n] % dm in {rm % dm, -rm % dm, 2 * rm % dm, -2 * rm % dm}:
+                ok = False
+            if rm % d[n] in {r[n] % d[n], -r[n] % d[n], 2 * r[n] % d[n], -2 * r[n] % d[n]}:
+                ok = False
+        flags.append(ok)
+    return flags
+
+
+@pytest.mark.parametrize(
+    "d,r",
+    [
+        ([83, 97, 113, 131, 149], [2, 3, 5, 7, 8]),
+        ([11, 13, 11, 17, 13, 19], [2, 4, 9, 8, 2, 5]),
+        ([5, 5, 5, 5], [2, 2, 2, 2]),
+        ([2**81 - 1, 2**64 - 59, 101, 2**62 + 135], [3, 2**64 - 62, 98, 6]),
+    ],
+)
+def test_validate_pairwise_matches_loop(d, r):
+    rows = SequenceSet.preset(d, r).validate_hypotheses(len(d))["rows"]
+    assert [row["pairwise_ok"] for row in rows] == pairwise_ok_oracle(d, r)
 
 
 def test_preset_constant_five_fails_series():
