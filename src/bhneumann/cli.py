@@ -263,15 +263,15 @@ def _check_greedy(cfg: RunConfig, seqs: SequenceSet, report: _Report) -> None:
         n < seqs.r_of(n) < 18 * n and 3 * seqs.r_of(n) < seqs.d_of(n)
         for n in range(1, top + 1)
     )
-    # object dtype keeps the residues exact for moduli beyond int64
-    offsets = np.array([seqs.r_of(j) for j in range(1, top + 1)], dtype=object)
-    pairwise = 0
-    for i in range(1, top + 1):
-        d, ri = seqs.d_of(i), seqs.r_of(i)
-        blocked = np.array([ri % d, (-ri) % d, (2 * ri) % d, (-2 * ri) % d], dtype=object)
-        hit = ((offsets % d)[:, None] == blocked).any(axis=1)
-        hit[i - 1] = False
-        pairwise += int(hit.sum())
+    ds = [seqs.d_of(i) for i in range(1, top + 1)]
+    rs = [seqs.r_of(i) for i in range(1, top + 1)]
+    # int64 holds 2r exactly below 2**62; larger values stay Python ints
+    dtype = np.int64 if all(abs(x) < 2**62 for x in ds + rs) else object
+    d, r = np.array(ds, dtype=dtype), np.array(rs, dtype=dtype)
+    blocked = np.stack([r % d, -r % d, 2 * r % d, -2 * r % d], axis=1)  # row i: mod d(i)
+    hit = ((r[None, :] % d[:, None])[:, :, None] == blocked[:, None, :]).any(axis=2)
+    np.fill_diagonal(hit, False)
+    pairwise = int(hit.sum())
     report.add("greedy", {"name": "window_and_size", "top": top, "ok": window_ok})
     report.add(
         "greedy",
