@@ -416,8 +416,8 @@ class SequenceSet:
         (checked for n >= 3) and the tail bound sum(1/d(m)) < 1/16.
         """
         self.ensure(N)
-        small = all(abs(x) < _INT64_SAFE for x in self._d[:N] + self._r[:N])
-        dtype = np.int64 if small else object
+        # int64 holds 2r exactly below 2**62; larger values stay Python ints
+        dtype = np.int64 if all(abs(x) < 2**62 for x in self._d[:N] + self._r[:N]) else object
         D = np.array(self._d[:N], dtype=dtype)
         R = np.array(self._r[:N], dtype=dtype)
         # condition (a): row n tests r(n) against these residues of every m < n
