@@ -10,6 +10,7 @@ separation growth bounds the construction is designed to realize.
 from .errors import (
     BHNeumannError,
     BudgetExceeded,
+    DegreeTooLarge,
     DivisorTooSmall,
     NoAdmissibleResidue,
     ProfileTooSmall,
@@ -75,6 +76,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BHNeumannError",
     "BudgetExceeded",
+    "DegreeTooLarge",
     "DivisorTooSmall",
     "NoAdmissibleResidue",
     "ProfileTooSmall",

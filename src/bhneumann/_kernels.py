@@ -11,9 +11,11 @@ a letter to a word with normal form (s, sigma):
   conjugated by rho^s; B composes with its inverse.  This touches at
   most 3 points of sigma.
 
-So P is the identity iff s = 0 (mod d) and sigma is empty, and the cost
-per letter does not depend on d.  Only ``eval_word`` builds a dense
-image, once per call.
+The cost per letter does not depend on d; only ``image`` builds a dense
+table.  s = 0 (mod d) with sigma empty implies P is the identity.  The
+converse holds for a zero a-exponent sum or under spread (sigma moves
+fewer than d points), but not in general: at (d, r) = (5, 2), aBaB has
+s = 2 and sigma = rho^-2, so P is the identity.
 
 Shared conventions:
 
@@ -103,14 +105,16 @@ def _fails(s: int, sigma: dict, lamps: dict, r: int, d: int) -> bool:
     return sigma != overlay
 
 
-def eval_word(tabs: np.ndarray, codes) -> np.ndarray:
-    """Image table of the word given by letter codes."""
+def eval_word(tabs: np.ndarray, codes) -> tuple[int, dict]:
+    """Normal form (s mod d, sigma) of the word given by letter codes."""
     d = tabs.shape[1]
     s, sigma = _walk(np.asarray(codes).tolist(), int(tabs[2, 0]), d)
-    s %= d
-    images = np.arange(s, s + d, dtype=np.int32)
-    if s:
-        images[d - s :] -= d
+    return s % d, sigma
+
+
+def image(d: int, s: int, sigma: dict) -> np.ndarray:
+    """Dense int32 table x -> sigma(x + s) of a normal form on d points."""
+    images = np.arange(s, s + d, dtype=np.int32) % d
     for y, v in sigma.items():
         images[(y - s) % d] = v
     return images

@@ -20,11 +20,11 @@ import numpy as np
 from . import _kernels
 from .errors import BHNeumannError, BudgetExceeded
 from .growth import bound_table, envelope_report, exact_sandwich, stirling_check
-from .neumann import GroupContext, _identity_at, ball, spread_ok, witness
+from .neumann import GroupContext, _identity_at, _witness_word, ball, spread_ok, witness
 from .schreier import build_chain, group_order, verify_alt_generation
 from .perm import make_generators
 from .seqgen import GrowthProfile, SequenceSet
-from .words import commutator, conjugate, random_reduced, to_codes
+from .words import random_reduced, to_codes
 
 __all__ = ["RunConfig", "main", "cmd_build", "cmd_verify", "cmd_growth", "cmd_oracle"]
 
@@ -217,8 +217,7 @@ def _check_commuting(cfg: RunConfig, ctx: GroupContext, report: _Report) -> None
     ctx.seqs.ensure(top)
     bad = 0
     for n in range(1, top + 1):
-        w = commutator("b", conjugate("b", "a" * ctx.offset(n)))
-        codes = to_codes(w)
+        codes = to_codes(_witness_word(ctx.offset(n)))
         for m in range(1, top + 1):
             if _identity_at(ctx, codes, m) != (m != n):
                 bad += 1
@@ -353,9 +352,7 @@ def cmd_oracle(cfg: RunConfig, report: _Report) -> int:
         elems = ball(ctx, n, budget=budget)
         # the signatures must reach coordinate 2n for the projection test
         deep_enough = all(len(sig.low_coords) >= 2 * n for _, sig in elems)
-        proj = set()
-        for _, sig in elems:
-            proj.add(tuple(p.images.tobytes() for p in sig.low_coords[: 2 * n]))
+        proj = {sig.low_coords[: 2 * n] for _, sig in elems}
         injective = deep_enough and len(proj) == len(elems)
         report.add(
             "ball",

@@ -42,6 +42,10 @@ class ProfileTooSmall(SequenceConstructionError):
     """
 
 
+class DegreeTooLarge(BHNeumannError):
+    """A coordinate's degree is past the largest dense table built."""
+
+
 class SpreadAssertionFailed(BHNeumannError):
     """A coordinate past the cutoff violated the support separation bound."""
 

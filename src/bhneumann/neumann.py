@@ -90,23 +90,23 @@ class GroupContext:
 class ElementSignature:
     """Faithful finite fingerprint of a word within one length class.
 
-    Holds the images at every coordinate up to cutoff(2 * n_class) plus
-    the lamp-state evaluation.  Words u, v of length <= n_class are
-    equal in the group iff their signatures compare equal: the product
-    u v^-1 has length <= 2 * n_class, coordinates above that cutoff are
-    controlled by the lamp state, and the stored data covers everything
-    else.
+    Holds the int32 image bytes at every coordinate up to cutoff(2 *
+    n_class) plus the lamp-state evaluation.  Words u, v of length <=
+    n_class are equal in the group iff their signatures compare (and so
+    hash) equal by value: u v^-1 has length <= 2 * n_class, coordinates
+    above that cutoff are controlled by the lamp state, and the stored
+    data covers everything else.
     """
 
-    low_coords: tuple[Permutation, ...]
+    low_coords: tuple[bytes, ...]
     wreath: WreathElement
     n_class: int
 
     def canonical_bytes(self) -> bytes:
         parts = [self.n_class.to_bytes(4, "big"), len(self.low_coords).to_bytes(4, "big")]
-        for p in self.low_coords:
-            parts.append(p.degree.to_bytes(4, "big"))
-            parts.append(p.images.tobytes())
+        for images in self.low_coords:
+            parts.append((len(images) // 4).to_bytes(4, "big"))
+            parts.append(images)
         parts.append(self.wreath.shift.to_bytes(8, "big", signed=True))
         for pos, val in self.wreath.lamps:
             parts.append(pos.to_bytes(8, "big", signed=True))
@@ -116,14 +116,11 @@ class ElementSignature:
     def digest(self) -> bytes:
         return blake2b(self.canonical_bytes(), digest_size=16).digest()
 
-    def __hash__(self) -> int:
-        return hash(self.digest())
-
 
 def coordinate_eval(ctx: GroupContext, word: str, m: int) -> Permutation:
     """Image of the word at coordinate m, from its sparse normal form."""
-    tabs = ctx.letter_tables(m)
-    return Permutation(_kernels.eval_word(tabs, to_codes(word)))
+    s, sigma = _kernels.eval_word(ctx.letter_tables(m), to_codes(word))
+    return Permutation(_kernels.image(ctx.degree(m), s, sigma))
 
 
 def spread_ok(ctx: GroupContext, m: int, n: int) -> bool:
@@ -172,9 +169,9 @@ def _scan_cutoff(ctx: GroupContext, n: int) -> int:
 
 
 def _identity_at(ctx: GroupContext, codes: np.ndarray, m: int) -> bool:
-    tabs = ctx.letter_tables(m)
-    table = _kernels.eval_word(tabs, codes)
-    return bool((table == np.arange(tabs.shape[1], dtype=np.int32)).all())
+    """Whether the word is the identity at m; exact only for a-exponent sum 0."""
+    s, sigma = _kernels.eval_word(ctx.letter_tables(m), codes)
+    return not s and not sigma
 
 
 def is_trivial(ctx: GroupContext, word: str) -> bool:
@@ -211,10 +208,15 @@ def signature(ctx: GroupContext, word: str, n_class: int) -> ElementSignature:
     m0 = cutoff(ctx, 2 * n_class)
     codes = to_codes(w)
     coords = tuple(
-        Permutation(_kernels.eval_word(ctx.letter_tables(m), codes))
+        _kernels.image(ctx.degree(m), *_kernels.eval_word(ctx.letter_tables(m), codes)).tobytes()
         for m in range(1, m0 + 1)
     )
     return ElementSignature(coords, w_eval(w), n_class)
+
+
+def _witness_word(r: int) -> str:
+    """[b, b^(a^r)], the word ``witness`` builds for an offset r."""
+    return word_commutator("b", word_conjugate("b", "a" * r))
 
 
 def witness(ctx: GroupContext, m: int) -> str:
@@ -230,7 +232,7 @@ def witness(ctx: GroupContext, m: int) -> str:
     since a miss would mean the offset data is corrupt.
     """
     R = ctx.seqs.r_of(m)
-    w = word_commutator("b", word_conjugate("b", "a" * R))
+    w = _witness_word(R)
     if len(w) != 4 + 4 * R:
         raise WitnessCheckFailed(f"witness({m}) reduced to length {len(w)}")
     if not w_eval(w).is_identity():
@@ -257,20 +259,14 @@ def ball(
 
     Enumerates reduced words in shortlex order and deduplicates by
     signature, so each element keeps its shortlex-least representative.
-    Dedup hashes the canonical signature bytes and confirms equality on
-    hash collision.
+    Signatures hash and compare by value, so a dict keyed on them is exact.
     """
     candidates = 2 * (3**n - 1) + 1 if n >= 1 else 1
     if candidates > budget:
         raise BudgetExceeded(
             f"ball({n}) needs {candidates} candidate words, budget {budget}"
         )
-    buckets: dict[bytes, list[ElementSignature]] = {}
-    out: list[tuple[str, ElementSignature]] = []
+    first: dict[ElementSignature, str] = {}
     for w in enumerate_reduced(n):
-        sig = signature(ctx, w, n)
-        bucket = buckets.setdefault(sig.digest(), [])
-        if not any(s == sig for s in bucket):
-            bucket.append(sig)
-            out.append((w, sig))
-    return out
+        first.setdefault(signature(ctx, w, n), w)
+    return [(w, sig) for sig, w in first.items()]

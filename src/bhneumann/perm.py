@@ -13,6 +13,10 @@ from typing import Iterable
 import numpy as np
 
 from ._primes import is_prime
+from .errors import DegreeTooLarge
+
+# Largest degree make_generators builds dense tables for: 16 MiB per int32 table.
+MAX_DEGREE = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -139,7 +143,10 @@ def make_generators(d: int, r1: int, r2: int) -> tuple[Permutation, Permutation]
 
     Requires d an odd prime >= 5 and 1 <= r1, r2 with r1 + r2 <= d - 1,
     so the three support points of the second generator are distinct.
+    Raises DegreeTooLarge past MAX_DEGREE points.
     """
+    if d > MAX_DEGREE:
+        raise DegreeTooLarge(f"degree {d} exceeds the dense table limit of {MAX_DEGREE} points")
     if d < 5 or d % 2 == 0 or not is_prime(d):
         raise ValueError(f"degree {d} is not an odd prime >= 5")
     if r1 < 1 or r2 < 1 or r1 + r2 > d - 1:

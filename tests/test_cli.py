@@ -181,6 +181,18 @@ def test_divisor_beyond_primality_range_reported_as_section(capsys, tmp_path, co
     assert row["name"] == "SequenceConstructionError" and "d(8)" in row["detail"]
 
 
+@pytest.mark.parametrize("command", ["verify", "oracle"])
+def test_degree_past_dense_limit_reported_as_section(capsys, command):
+    # bprime d(1) = 766409539403 has no dense table; both commands need one
+    rc, out, err = run(capsys, [command, "--profile", "bprime", "--n", "2",
+                                "--format", "json"])
+    assert rc == 1 and err == ""
+    report = json.loads(out)
+    assert list(report) == ["error"]
+    (row,) = report["error"]
+    assert row["name"] == "DegreeTooLarge" and "766409539403" in row["detail"]
+
+
 def test_growth_table_profile_keeps_rows_before_envelope_error(capsys, tmp_path):
     # the envelope reads log F at 72n + 4, past the end of this table
     cfgfile = tmp_path / "cfg.json"

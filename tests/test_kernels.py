@@ -19,6 +19,15 @@ def tabs_of(d: int, r: int) -> np.ndarray:
     return tabs
 
 
+def dense_image(d: int, r: int, w: str):
+    alpha, beta = make_generators(d, r, r)
+    by_letter = {"a": alpha, "A": inverse(alpha), "b": beta, "B": inverse(beta)}
+    cur = identity(d)
+    for ch in w:
+        cur = compose(cur, by_letter[ch])
+    return cur
+
+
 def word_batch(nwords: int, length: int, seed0: int) -> np.ndarray:
     rows = [to_codes(random_reduced(length, seed0 + i)) for i in range(nwords)]
     return np.stack(rows).astype(np.int8)
@@ -58,32 +67,40 @@ def test_dfs_order_matches_word_enumeration():
     assert len(words) == len(bitmap)
     idx = np.arange(83, dtype=np.int32)
     for k, w in enumerate(words):
-        images = K.eval_word(tabs, to_codes(w))
+        images = K.image(83, *K.eval_word(tabs, to_codes(w)))
         assert bitmap[k] == bool((images == idx).all())
 
 
 def test_eval_word_matches_permutation_composition():
     # on 13 points, words of length 200 carry the shift past d
     for d, r, length in ((97, 3, 30), (13, 2, 200), (13, 4, 200)):
-        alpha, beta = make_generators(d, r, r)
-        by_letter = {
-            "a": alpha,
-            "A": inverse(alpha),
-            "b": beta,
-            "B": inverse(beta),
-        }
         tabs = tabs_of(d, r)
         max_shift = 0
         for seed in range(8):
             w = random_reduced(length, seed)
-            cur = identity(d)
-            for ch in w:
-                cur = compose(cur, by_letter[ch])
-            got = K.eval_word(tabs, to_codes(w))
-            assert np.array_equal(got, cur.images)
+            got = K.image(d, *K.eval_word(tabs, to_codes(w)))
+            assert np.array_equal(got, dense_image(d, r, w).images)
             shifts = np.cumsum([(ch == "a") - (ch == "A") for ch in w])
             max_shift = max(max_shift, int(np.abs(shifts).max()))
         assert max_shift >= d or d > length
+
+
+def test_normal_form_contract():
+    # s = 0 (mod d) with sigma empty implies the identity, not conversely:
+    # at (5, 2), aBaB has s = 2 and sigma = rho^-2, yet its image is trivial
+    s, sigma = K.eval_word(tabs_of(5, 2), to_codes("aBaB"))
+    assert s == 2 and sigma
+    assert dense_image(5, 2, "aBaB") == identity(5)
+    assert np.array_equal(K.image(5, s, sigma), identity(5).images)
+    for d, r in ((5, 2), (7, 3)):
+        tabs = tabs_of(d, r)
+        for w in enumerate_reduced(6):
+            cur = dense_image(d, r, w)
+            s, sigma = K.eval_word(tabs, to_codes(w))
+            assert 0 <= s < d
+            assert np.array_equal(K.image(d, s, sigma), cur.images)
+            if not s and not sigma:
+                assert cur == identity(d)
 
 
 def test_check_random_words_counts_every_word():

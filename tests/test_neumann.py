@@ -231,6 +231,8 @@ def test_signature_equal_iff_equal_in_group(toy_ctx):
         for v in words[i + 1 :]:
             same = equal(toy_ctx, u, v)
             assert same == (sigs[u] == sigs[v])
+            if same:
+                assert hash(sigs[u]) == hash(sigs[v])
             assert same == (sigs[u].digest() == sigs[v].digest())
 
 
