@@ -40,6 +40,11 @@ _PARAM_KEYS = {
 _WORDS_PER_MS = 8
 
 
+def _is_int(x) -> bool:
+    """True for ints proper; JSON true/false arrive as bool, an int subclass."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 @dataclass
 class RunConfig:
     command: str = "build"
@@ -57,11 +62,11 @@ class RunConfig:
             raise ValueError(f"unknown profile {self.profile!r}")
         if self.fmt not in _FORMATS:
             raise ValueError(f"unknown format {self.fmt!r}")
-        if not isinstance(self.n, int) or self.n < 1:
+        if not _is_int(self.n) or self.n < 1:
             raise ValueError("n must be a positive integer")
-        if not isinstance(self.seed, int) or self.seed < 0:
+        if not _is_int(self.seed) or self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
-        if not isinstance(self.budget_ms, int) or self.budget_ms < 0:
+        if not _is_int(self.budget_ms) or self.budget_ms < 0:
             raise ValueError("budget_ms must be a nonnegative integer")
         extra = set(self.params) - _PARAM_KEYS[self.profile]
         if extra:
@@ -100,8 +105,7 @@ def _profile_of(cfg: RunConfig) -> GrowthProfile:
         return GrowthProfile.bprime(**p)
     if "values" not in p:
         raise ValueError("table profile needs params.values")
-    vals = [float(v) for v in p["values"]]
-    return GrowthProfile.from_table(vals, C2=p.get("C2", 0))
+    return GrowthProfile.from_table(p["values"], C2=p.get("C2", 0))
 
 
 def _f(x: float) -> str:
@@ -257,21 +261,12 @@ def _check_locality(cfg: RunConfig, ctx: GroupContext, report: _Report) -> None:
 
 def _check_greedy(cfg: RunConfig, seqs: SequenceSet, report: _Report) -> None:
     top = min(cfg.n, 50)
-    seqs.ensure(top)
-    window_ok = all(
-        n < seqs.r_of(n) < 18 * n and 3 * seqs.r_of(n) < seqs.d_of(n)
-        for n in range(1, top + 1)
+    rows = seqs.validate_hypotheses(top)["rows"]
+    pairwise = sum(row["pairwise_violations"] for row in rows)
+    report.add(
+        "greedy",
+        {"name": "window_and_size", "top": top, "ok": all(row["offset_ok"] for row in rows)},
     )
-    ds = [seqs.d_of(i) for i in range(1, top + 1)]
-    rs = [seqs.r_of(i) for i in range(1, top + 1)]
-    # int64 holds 2r exactly below 2**62; larger values stay Python ints
-    dtype = np.int64 if all(abs(x) < 2**62 for x in ds + rs) else object
-    d, r = np.array(ds, dtype=dtype), np.array(rs, dtype=dtype)
-    blocked = np.stack([r % d, -r % d, 2 * r % d, -2 * r % d], axis=1)  # row i: mod d(i)
-    hit = ((r[None, :] % d[:, None])[:, :, None] == blocked[:, None, :]).any(axis=2)
-    np.fill_diagonal(hit, False)
-    pairwise = int(hit.sum())
-    report.add("greedy", {"name": "window_and_size", "top": top, "ok": window_ok})
     report.add(
         "greedy",
         {"name": "pairwise_congruences", "top": top, "violations": pairwise, "ok": pairwise == 0},
@@ -292,15 +287,7 @@ def cmd_verify(cfg: RunConfig, report: _Report) -> int:
 def cmd_growth(cfg: RunConfig, report: _Report) -> int:
     profile = _profile_of(cfg)
     seqs = SequenceSet(profile)
-    env = env_error = None
-    if profile.kind != "toy":
-        # envelope_report builds the bound table first; a table profile can
-        # still fail after it, and then the bound and stirling rows come first
-        try:
-            env = envelope_report(seqs, profile, cfg.n)
-        except BHNeumannError as exc:
-            env_error = exc
-    table = env if env is not None else bound_table(seqs, cfg.n)
+    table = bound_table(seqs, cfg.n)
     for row in table.rows:
         report.add(
             "bound",
@@ -328,19 +315,13 @@ def cmd_growth(cfg: RunConfig, report: _Report) -> int:
                 "ok": rep["ok"],
             },
         )
-    if profile.kind == "toy":
-        sw = exact_sandwich(seqs, min(cfg.n, 20))
-        for row in sw["rows"]:
-            report.add("exact_sandwich", {"n": row["n"], "ok": row["ok"]})
-    else:
-        if env_error is not None:
-            raise env_error
-        meta = env.meta
+    if profile.kind != "toy":
+        meta = envelope_report(table, profile).meta
         report.add("envelope", {"name": "candidate_consistency", "ok": meta["envelope_ok"]})
-        for row in meta["sandwich"]:
-            report.add("exact_sandwich", {"n": row["n"], "ok": row["ok"]})
-        if profile.kind == "bprime":
-            report.add("envelope", {"name": "loglog_floor", "ok": meta["loglog_ok"]})
+    for row in exact_sandwich(seqs, min(cfg.n, 20))["rows"]:
+        report.add("exact_sandwich", {"n": row["n"], "ok": row["ok"]})
+    if profile.kind == "bprime":
+        report.add("envelope", {"name": "loglog_floor", "ok": meta["loglog_ok"]})
     return 0 if _ok(report) else 1
 
 

@@ -261,12 +261,11 @@ def exact_sandwich(ctx, N: int) -> dict:
 
 
 def envelope_report(
-    ctx,
+    table: BoundTable,
     profile: GrowthProfile,
-    N: int,
     constants: dict | None = None,
 ) -> BoundTable:
-    """Bound rows next to the profile curve, with envelope consistency.
+    """Check a bound table against the profile curve; returns the table.
 
     Candidate constants {"c1", "c2", "c3"} describe the envelope shape
 
@@ -278,23 +277,20 @@ def envelope_report(
     so the report checks the necessary consistency conditions: the
     candidate lower envelope must not exceed the proven upper bound and
     the proven lower staircase must not exceed the candidate upper
-    envelope.  Rows also carry the exact small-scale sandwich
-    (f(n))!/2 <= d(n)!/2 <= (2 f(n))! while factorials stay exact.
+    envelope.  Each rf row gains log_F and the envelope values, and the
+    verdicts ("envelope_ok", plus the bprime "loglog_ok" and its rows)
+    go into table.meta.  A table profile must hold log F up to
+    ceil(c1 N + c2), 72N + 4 by default.
     """
     if profile.kind not in ("builtin", "table", "bprime"):
         raise ValueError("envelope reporting needs a builtin, table or bprime profile")
     cs = {"c1": 72.0, "c2": 4.0, "c3": 1.0}
     if constants:
         cs.update(constants)
-    table = bound_table(ctx, N)
-    seqs = _seqs_of(ctx)
+    rf_rows = [row for row in table.rows if row["kind"] == "rf"]
     env_ok = True
-    by_n: dict[int, dict] = {}
-    for row in table.rows:
-        if row["kind"] == "rf":
-            by_n[row["n"]] = row
-    for n in range(1, N + 1):
-        row = by_n[n]
+    for row in rf_rows:
+        n = row["n"]
         row["log_F"] = profile.log_F(n)
         lo_arg = math.floor(n / cs["c1"] - cs["c2"])
         if lo_arg >= 1:
@@ -313,13 +309,10 @@ def envelope_report(
             row["env_upper"] = env_upper
             if row["lower_log"] > env_upper + 1e-9:
                 env_ok = False
-    sw = exact_sandwich(seqs, min(N, 20))
-    sandwich = sw["rows"]
-    sandwich_ok = sw["ok"]
     loglog_rows = []
     loglog_ok = True
     if profile.kind == "bprime":
-        for n in range(2, min(N, 50) + 1):
+        for n in range(2, min(len(rf_rows), 50) + 1):
             lf = profile.log_F(n)
             lhs = math.log(lf)
             rhs = math.log(n) ** 2 + math.log(profile.c)
@@ -330,8 +323,6 @@ def envelope_report(
         {
             "constants": cs,
             "envelope_ok": env_ok,
-            "sandwich": sandwich,
-            "sandwich_ok": sandwich_ok,
             "loglog_rows": loglog_rows,
             "loglog_ok": loglog_ok,
         }

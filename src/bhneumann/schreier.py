@@ -99,9 +99,6 @@ class StabilizerChain:
             out *= len(lv.pts)
         return out
 
-    def base(self) -> list[int]:
-        return [lv.point for lv in self.levels]
-
     def _sift(self, p: np.ndarray, start: int = 0):
         """Reduce p through the transversals; (residue, level) or (None, _)."""
         for li in range(start, len(self.levels)):

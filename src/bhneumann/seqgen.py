@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._primes import is_prime, next_prime, sieve
+from ._primes import _MR_LIMIT, is_prime, next_prime, sieve
 from .errors import (
     DivisorTooSmall,
     NoAdmissibleResidue,
@@ -67,16 +67,13 @@ class GrowthProfile:
 
     kind is one of "toy", "builtin", "bprime", "table".  Toy profiles
     skip the inverse size map and prescribe f(n) = slope*n + intercept
-    directly.  C2 shifts the index fed to the inverse map; C0 and C1 are
-    the constants quoted in hypothesis reports; eps is the exponent knob
-    on the inner loglog factor.
+    directly.  C2 shifts the index fed to the inverse map; eps is the
+    exponent knob on the inner loglog factor.
     """
 
     kind: str
     c: float = 1.0
     eps: float = 1.0
-    C0: float = 1.0
-    C1: float = 1.0
     C2: int = 0
     slope: int = 0
     intercept: int = 0
@@ -119,13 +116,12 @@ class GrowthProfile:
         cls, values: Sequence[float], C2: int = 0
     ) -> "GrowthProfile":
         """Explicit log F values for indices 1..len(values)."""
-        vals = tuple(float(v) for v in values)
+        vals = tuple(values)
         if not vals:
             raise ValueError("table profile needs at least one value")
-        if not all(math.isfinite(v) for v in vals):
-            raise ValueError(f"table profile values must be finite, got {list(vals)}")
+        _require_finite(**{f"table value {i}": v for i, v in enumerate(vals, 1)})
         _require_int(C2=C2)
-        return cls(kind="table", C2=C2, table_values=vals)
+        return cls(kind="table", C2=C2, table_values=tuple(float(v) for v in vals))
 
     def log_F(self, n: int) -> float:
         """Natural log of the target curve at index n >= 1."""
@@ -172,6 +168,9 @@ def f_of(profile: GrowthProfile, n: int) -> int:
 # a larger d(n) in exact object-dtype arithmetic; condition (a) caps a
 # larger d(m) at this bound (see _OffsetSieve.add).
 _INT64_SAFE = 1 << 62
+
+# Scale of the advisory growth floor in validate_hypotheses.
+_GROWTH_FLOOR_C0 = 1.0
 
 
 def _mark(view: np.ndarray, lo: int, c: np.ndarray, d) -> None:
@@ -406,14 +405,20 @@ class SequenceSet:
     def validate_hypotheses(self, N: int) -> dict:
         """Check the construction's standing hypotheses on indices 1..N.
 
-        Hard conditions (any failure flips "ok"): d(n) is an odd prime,
-        d(n) >= 16n, n <= d(n)/4, the offset lies in its window
-        below d(n)/3, and the pairwise conditions (a) and (b) hold for
-        every m < n.  Two asymptotic conditions are reported separately
-        under "info" flags because finite prefixes of slow profiles can
-        fail them while the derived data stays perfectly usable: the
-        growth floor d(n) >= C0 * n * log n * (loglog n)^(1+eps) + C0
-        (checked for n >= 3) and the tail bound sum(1/d(m)) < 1/16.
+        Hard conditions (any failure flips "ok"): d(n) is an odd prime
+        certified by deterministic Miller-Rabin (a modulus past its range
+        counts as not prime), d(n) >= 16n, n <= d(n)/4, the offset lies in
+        its window below d(n)/3, and the pairwise conditions (a) and (b)
+        hold for every m < n.  A row that fails them counts, in
+        "pairwise_violations", the earlier indices breaking (a) plus those
+        breaking (b); summed over all rows this is the number of ordered
+        pairs (i, j), i != j, with r(j) = +-r(i) or +-2 r(i) (mod d(i)).
+        Two asymptotic conditions are reported separately under "info"
+        flags because finite prefixes of slow profiles can fail them while
+        the derived data stays perfectly usable: the growth floor
+        d(n) >= C0 * n * log n * (loglog n)^(1+eps) + C0 with
+        C0 = _GROWTH_FLOOR_C0 (checked for n >= 3) and the tail bound
+        sum(1/d(m)) < 1/16.
         """
         self.ensure(N)
         # int64 holds 2r exactly below 2**62; larger values stay Python ints
@@ -429,24 +434,21 @@ class SequenceSet:
         for n in range(1, N + 1):
             d = self._d[n - 1]
             r = self._r[n - 1]
-            prime_ok = d % 2 == 1 and is_prime(d)
+            prime_ok = d % 2 == 1 and 0 < d < _MR_LIMIT and is_prime(d)
             floor_ok = d >= 16 * n
             window_ok = n <= d // 4
             offset_ok = n < r <= 18 * n - 1 and 3 * r < d
             blocked_b = np.array([r % d, -r % d, 2 * r % d, -2 * r % d], dtype=dtype)
-            pair_ok = not (
-                (blocked_a[:, : n - 1] == r % D[: n - 1]).any()
-                or ((R[: n - 1] % d)[:, None] == blocked_b).any()
-            )
+            hit_a = blocked_a[:, : n - 1] == r % D[: n - 1]  # column m: (a) against index m
+            hit_b = (R[: n - 1] % d)[:, None] == blocked_b  # row m: (b) against index m
+            pair_ok = not (hit_a.any() or hit_b.any())
+            violations = 0
+            if not pair_ok:
+                violations = int(hit_a.any(axis=0).sum() + hit_b.any(axis=1).sum())
             if n >= 3:
                 lln = math.log(math.log(n))
-                floor_val = (
-                    self.profile.C0
-                    * n
-                    * math.log(n)
-                    * lln ** (1.0 + self.profile.eps)
-                    + self.profile.C0
-                )
+                c0 = _GROWTH_FLOOR_C0
+                floor_val = c0 * n * math.log(n) * lln ** (1.0 + self.profile.eps) + c0
                 growth_ok = d >= floor_val
             else:
                 growth_ok = True
@@ -465,6 +467,7 @@ class SequenceSet:
                     "window_ok": window_ok,
                     "offset_ok": offset_ok,
                     "pairwise_ok": pair_ok,
+                    "pairwise_violations": violations,
                     "growth_floor_ok": growth_ok,
                 }
             )

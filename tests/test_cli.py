@@ -36,6 +36,9 @@ def test_config_validation():
         RunConfig(n=0),
         RunConfig(seed=-1),
         RunConfig(budget_ms=-5),
+        RunConfig(n=True),
+        RunConfig(seed=False),
+        RunConfig(budget_ms=True),
         RunConfig(profile="toy", params={"c": 1.0}),
         RunConfig(profile="bprime", params={"eps": 1.0}),
     ):
@@ -294,6 +297,9 @@ def test_bad_flag_value_exits_2(capsys):
         '{"profile": "toy", "params": {"slope": 1.5}}',
         '{"profile": "table", "params": {"values": [1e400]}}',
         '{"profile": "table", "params": {"values": ["nan"]}}',
+        '{"profile": "table", "params": {"values": [true, 2.0]}}',
+        '{"n": true, "seed": false}',
+        '{"budget_ms": true}',
     ],
 )
 def test_bad_param_value_exits_2(capsys, tmp_path, config):

@@ -218,17 +218,17 @@ def test_exact_sandwich_skips_large_rows():
 
 def test_envelope_rejects_toy(toy_ctx):
     with pytest.raises(ValueError):
-        envelope_report(toy_ctx, GrowthProfile.toy(), 5)
+        envelope_report(bound_table(toy_ctx, 5), GrowthProfile.toy())
 
 
 def test_envelope_bprime_default_constants():
     prof = GrowthProfile.bprime()
     seqs = SequenceSet(prof)
-    table = envelope_report(seqs, prof, 12)
+    table = envelope_report(bound_table(seqs, 12), prof)
     assert table.meta["envelope_ok"]
     assert table.meta["loglog_ok"]
     assert len(table.meta["loglog_rows"]) == 11
-    assert table.meta["sandwich_ok"]
+    assert exact_sandwich(seqs, 12)["ok"]
     assert table.meta["constants"]["c1"] == 72.0
     rf_rows = [row for row in table.rows if row["kind"] == "rf"]
     assert all("log_F" in row for row in rf_rows)
@@ -241,7 +241,7 @@ def test_envelope_bprime_weak_constants_fail():
     # necessary condition must be flagged
     prof = GrowthProfile.bprime()
     seqs = SequenceSet(prof)
-    table = envelope_report(seqs, prof, 12, constants={"c1": 1.0, "c2": 0.0})
+    table = envelope_report(bound_table(seqs, 12), prof, constants={"c1": 1.0, "c2": 0.0})
     assert not table.meta["envelope_ok"]
     rf_rows = [row for row in table.rows if row["kind"] == "rf"]
     assert any("env_lower" in row for row in rf_rows)
@@ -250,7 +250,7 @@ def test_envelope_bprime_weak_constants_fail():
 def test_envelope_builtin_smoke():
     prof = GrowthProfile.builtin()
     seqs = SequenceSet(prof)
-    table = envelope_report(seqs, prof, 8)
+    table = envelope_report(bound_table(seqs, 8), prof)
     assert table.meta["envelope_ok"]
     assert table.meta["loglog_rows"] == []
     assert table.consistent()

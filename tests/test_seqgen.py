@@ -419,19 +419,19 @@ def test_validate_builtin_all_pass():
     assert report["info"]["series_ok"]
 
 
-def pairwise_ok_oracle(d: list[int], r: list[int]) -> list[bool]:
-    """Conditions (a) and (b) of every row against every earlier one, by loops."""
-    flags = []
+def pairwise_violations_oracle(d: list[int], r: list[int]) -> list[int]:
+    """Per row, the earlier indices breaking (a) plus those breaking (b), by loops."""
+    counts = []
     for n in range(len(d)):
-        ok = True
+        count = 0
         for m in range(n):
             dm, rm = d[m], r[m]
             if r[n] % dm in {rm % dm, -rm % dm, 2 * rm % dm, -2 * rm % dm}:
-                ok = False
+                count += 1
             if rm % d[n] in {r[n] % d[n], -r[n] % d[n], 2 * r[n] % d[n], -2 * r[n] % d[n]}:
-                ok = False
-        flags.append(ok)
-    return flags
+                count += 1
+        counts.append(count)
+    return counts
 
 
 @pytest.mark.parametrize(
@@ -441,11 +441,17 @@ def pairwise_ok_oracle(d: list[int], r: list[int]) -> list[bool]:
         ([11, 13, 11, 17, 13, 19], [2, 4, 9, 8, 2, 5]),
         ([5, 5, 5, 5], [2, 2, 2, 2]),
         ([2**81 - 1, 2**64 - 59, 101, 2**62 + 135], [3, 2**64 - 62, 98, 6]),
+        ([2**89 - 1, 2**64 - 59, 101], [3, 2**64 - 62, 98]),
+        ([7, 11, 7, 13], [7, 3, 14, 2]),  # d | r: the four residues coincide
     ],
 )
 def test_validate_pairwise_matches_loop(d, r):
     rows = SequenceSet.preset(d, r).validate_hypotheses(len(d))["rows"]
-    assert [row["pairwise_ok"] for row in rows] == pairwise_ok_oracle(d, r)
+    counts = pairwise_violations_oracle(d, r)
+    assert [row["pairwise_violations"] for row in rows] == counts
+    assert [row["pairwise_ok"] for row in rows] == [c == 0 for c in counts]
+    # past the deterministic Miller-Rabin range a modulus is not certified prime
+    assert all(row["prime_ok"] is False for row in rows if row["d"] == 2**89 - 1)
 
 
 def test_preset_constant_five_fails_series():
