@@ -1,10 +1,13 @@
 """Deterministic stabilizer chains for permutation groups.
 
-The chain stores, per level, a base point, the orbit of that point under
-the generators attached so far, and inverse transversal representatives.
-Generator attachment is cumulative: an element attached at level j fixes
-the base points of all earlier levels, so it also acts on their orbits
-and is attached to every level up to j.  Two facts carry the module:
+Permutations are tuples of images, and (p * q)(x) = p(q(x)) is
+``tuple(map(p.__getitem__, q))``.  The chain stores, per level, a base
+point, the generators attached so far, and a dict from each orbit point
+x to an inverse transversal element (one that sends x to the base
+point); the dict's insertion order is the orbit.  Generator attachment
+is cumulative: an element attached at level j fixes the base points of
+all earlier levels, so it also acts on their orbits and is attached to
+every level up to j.  Two facts carry the module:
 
 * The product of the orbit sizes never exceeds the group order, because
   distinct transversal words are distinct group elements.
@@ -12,15 +15,16 @@ and is attached to every level up to j.  Two facts carry the module:
   stabilizer orbit and the base is complete, so sifting is a sound
   membership test.
 
-Everything is deterministic: insertion order, orbit growth order and the
-verification sweep are all fixed functions of the input.
+The chain is plain Python and meant for small degrees: the full
+verification sweep runs in the CLI only for d <= 13, and Alt(d) at the
+tower's degrees is certified by the ladder bound instead.  Everything is
+deterministic: insertion order, orbit growth order and the verification
+sweep are all fixed functions of the input.
 """
 
 from __future__ import annotations
 
 import math
-
-import numpy as np
 
 from .perm import Permutation, is_even, make_generators
 
@@ -33,53 +37,47 @@ __all__ = [
 ]
 
 
-def _invert_table(p: np.ndarray) -> np.ndarray:
-    out = np.empty(p.size, dtype=np.int32)
-    out[p] = np.arange(p.size, dtype=np.int32)
-    return out
+def _compose(p: tuple, q: tuple) -> tuple:
+    """p * q as image tuples; q applies first."""
+    return tuple(map(p.__getitem__, q))
+
+
+def _inverse(p: tuple) -> tuple:
+    return tuple(sorted(range(len(p)), key=p.__getitem__))
 
 
 class _Level:
-    __slots__ = ("point", "orbit_pos", "pts", "inv_reps", "gens", "ginvs")
+    __slots__ = ("point", "gens", "inv_reps")
 
     def __init__(self, point: int, degree: int):
         self.point = point
-        self.orbit_pos = np.full(degree, -1, dtype=np.int64)
-        self.orbit_pos[point] = 0
-        self.pts: list[int] = [point]
-        self.inv_reps: dict[int, np.ndarray] = {
-            point: np.arange(degree, dtype=np.int32)
-        }
-        self.gens: list[np.ndarray] = []
-        self.ginvs: list[np.ndarray] = []
+        self.gens: list[tuple] = []
+        self.inv_reps: dict[int, tuple] = {point: tuple(range(degree))}
 
-    def _admit(self, x: int, y: int, gi: np.ndarray) -> None:
-        # u_y = g u_x, so the stored inverse is u_x^-1 composed after g^-1
-        self.orbit_pos[y] = len(self.pts)
-        self.pts.append(y)
-        self.inv_reps[y] = self.inv_reps[x][gi]
+    @property
+    def pts(self):
+        """The orbit of the base point, in the order it was found."""
+        return self.inv_reps.keys()
 
-    def extend_with(self, g: np.ndarray, gi: np.ndarray) -> None:
-        """Grow the orbit after attaching one more generator.
+    def attach(self, g: tuple) -> None:
+        """Add generator g and close the orbit breadth first.
 
-        One vectorized step of the new generator over the known orbit,
-        then closure of any new points under the whole cumulative set.
+        y = g(x) joins with the inverse representative w_x * g^-1, which
+        sends y to x and x to the base point.  Points already in the
+        orbit need only the new generator.
         """
-        pts_arr = np.fromiter(self.pts, dtype=np.int64, count=len(self.pts))
-        images = g[pts_arr]
-        fresh = pts_arr[self.orbit_pos[images] < 0]
-        frontier: list[int] = []
-        for x in fresh:
-            y = int(g[x])
-            self._admit(int(x), y, gi)
-            frontier.append(y)
+        self.gens.append(g)
+        reps = self.inv_reps
+        frontier, step = list(reps), [g]
         while frontier:
-            x = frontier.pop()
-            for g2, gi2 in zip(self.gens, self.ginvs):
-                y = int(g2[x])
-                if self.orbit_pos[y] < 0:
-                    self._admit(x, y, gi2)
-                    frontier.append(y)
+            fresh = []
+            for x in frontier:
+                for h in step:
+                    y = h[x]
+                    if y not in reps:
+                        reps[y] = _compose(reps[x], _inverse(h))
+                        fresh.append(y)
+            frontier, step = fresh, self.gens
 
 
 class StabilizerChain:
@@ -91,44 +89,50 @@ class StabilizerChain:
         self.degree = degree
         self.levels: list[_Level] = []
         self.complete = False
-        self._idt = np.arange(degree, dtype=np.int32)
 
     def order(self) -> int:
-        out = 1
-        for lv in self.levels:
-            out *= len(lv.pts)
-        return out
+        return math.prod(len(lv.inv_reps) for lv in self.levels)
 
-    def _sift(self, p: np.ndarray, start: int = 0):
+    def _sift(self, p: tuple, start: int = 0):
         """Reduce p through the transversals; (residue, level) or (None, _)."""
         for li in range(start, len(self.levels)):
             lv = self.levels[li]
-            x = int(p[lv.point])
+            x = p[lv.point]
             if x == lv.point:
                 continue
-            if lv.orbit_pos[x] < 0:
+            w = lv.inv_reps.get(x)
+            if w is None:
                 return p, li
-            p = lv.inv_reps[x][p]
-        if (p == self._idt).all():
-            return None, len(self.levels)
-        return p, len(self.levels)
+            p = _compose(w, p)
+        return (None if p == tuple(range(self.degree)) else p), len(self.levels)
 
-    def _add_gen_at(self, li: int, p: np.ndarray) -> None:
+    def _add_gen_at(self, li: int, p: tuple) -> None:
         if li == len(self.levels):
-            point = int(np.nonzero(p != self._idt)[0][0])
+            point = next(x for x, y in enumerate(p) if x != y)
             self.levels.append(_Level(point, self.degree))
-        pi = _invert_table(p)
-        for k in range(li + 1):
-            lv = self.levels[k]
-            lv.gens.append(p)
-            lv.ginvs.append(pi)
-            lv.extend_with(p, pi)
+        for lv in self.levels[: li + 1]:
+            lv.attach(p)
 
-    def _insert(self, p: np.ndarray) -> None:
-        p = np.ascontiguousarray(p, dtype=np.int32)
+    def _insert(self, p: tuple) -> None:
         residue, li = self._sift(p)
         if residue is not None:
             self._add_gen_at(li, residue)
+
+    def _first_residue(self, li: int):
+        """First Schreier generator of level li that does not sift below it.
+
+        Returns (residue, level) or None.  The Schreier generator for an
+        orbit point x and a generator g is w_g(x) * g * w_x^-1.
+        """
+        lv = self.levels[li]
+        for x, w in lv.inv_reps.items():
+            u = _inverse(w)
+            for g in lv.gens:
+                schreier = _compose(lv.inv_reps[g[x]], _compose(g, u))
+                residue, rl = self._sift(schreier, li + 1)
+                if residue is not None:
+                    return residue, rl
+        return None
 
     def _verify_sweep(self, target: int | None = None) -> None:
         """Deterministic completion: check every Schreier generator.
@@ -138,31 +142,13 @@ class StabilizerChain:
         stops as soon as the orbit product reaches it.
         """
         li = len(self.levels) - 1
-        while li >= 0:
-            if target is not None and self.order() == target:
-                self.complete = True
-                return
-            lv = self.levels[li]
-            added = False
-            xi = 0
-            while xi < len(lv.pts) and not added:
-                x = lv.pts[xi]
-                ux = _invert_table(lv.inv_reps[x])
-                gi = 0
-                while gi < len(lv.gens):
-                    g = lv.gens[gi]
-                    y = int(g[x])
-                    schreier = lv.inv_reps[y][g[ux]]
-                    residue, rl = self._sift(schreier, li + 1)
-                    if residue is not None:
-                        self._add_gen_at(rl, residue)
-                        li = rl
-                        added = True
-                        break
-                    gi += 1
-                xi += 1
-            if not added:
+        while li >= 0 and self.order() != target:
+            found = self._first_residue(li)
+            if found is None:
                 li -= 1
+            else:
+                residue, li = found
+                self._add_gen_at(li, residue)
         self.complete = True
 
 
@@ -189,8 +175,8 @@ def build_chain(
             raise ValueError("generators must share one degree")
     chain = StabilizerChain(degree)
     for g in generators:
-        chain._insert(g.images)
-        if known_order is not None and chain.order() == known_order:
+        chain._insert(tuple(g.images.tolist()))
+        if chain.order() == known_order:
             chain.complete = True
             return chain
     chain._verify_sweep(known_order)
@@ -208,7 +194,7 @@ def contains(chain: StabilizerChain, p: Permutation) -> bool:
         raise ValueError("membership needs a completed chain")
     if p.degree != chain.degree:
         raise ValueError("degree mismatch")
-    residue, _ = chain._sift(np.ascontiguousarray(p.images, dtype=np.int32))
+    residue, _ = chain._sift(tuple(p.images.tolist()))
     return residue is None
 
 
@@ -221,15 +207,14 @@ def _ladder_bound(alpha: Permutation, beta: Permutation, r: int) -> int:
     b_i with i < j, since the bound then does not hold.
     """
     d = alpha.degree
-    idx = np.arange(d)
-    if not np.array_equal(alpha.images, (idx + 1) % d):
+    if alpha.images.tolist() != [*range(1, d), 0]:
         return 0
     # r is a unit mod the prime d, so the b_j run through every point once
-    base = ((idx * r) % d).tolist()
+    base = [j * r % d for j in range(d)]
     pos = [0] * d
     for j, b in enumerate(base):
         pos[b] = j
-    arrows = [(int(x), int(beta.images[x])) for x in np.nonzero(beta.images != idx)[0]]
+    arrows = [(x, y) for x, y in enumerate(beta.images.tolist()) if x != y]
     parent = list(range(d))
     size = [1] * d
 

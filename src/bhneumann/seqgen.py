@@ -55,6 +55,12 @@ def _require_int(**named) -> None:
             raise ValueError(f"{name} must be an integer, got {x!r}")
 
 
+def _require_index_shift(C2) -> None:
+    _require_int(C2=C2)
+    if C2 < 0:
+        raise ValueError(f"C2 must be >= 0, got {C2}")
+
+
 def _require_finite(**named) -> None:
     for name, x in named.items():
         if isinstance(x, bool) or not isinstance(x, (int, float)) or not math.isfinite(x):
@@ -97,7 +103,7 @@ class GrowthProfile:
         small indices without changing its asymptotics.
         """
         _require_finite(c=c, eps=eps)
-        _require_int(C2=C2)
+        _require_index_shift(C2)
         if c <= 0 or eps <= 0:
             raise ValueError("builtin profile needs c > 0 and eps > 0")
         return cls(kind="builtin", c=c, eps=eps, C2=C2)
@@ -106,7 +112,7 @@ class GrowthProfile:
     def bprime(cls, c: float = 1.0, C2: int = 256) -> "GrowthProfile":
         """log F(n) = c * n**log(n); the superfast reference curve."""
         _require_finite(c=c)
-        _require_int(C2=C2)
+        _require_index_shift(C2)
         if c <= 0:
             raise ValueError("bprime profile needs c > 0")
         return cls(kind="bprime", c=c, C2=C2)
@@ -120,7 +126,7 @@ class GrowthProfile:
         if not vals:
             raise ValueError("table profile needs at least one value")
         _require_finite(**{f"table value {i}": v for i, v in enumerate(vals, 1)})
-        _require_int(C2=C2)
+        _require_index_shift(C2)
         return cls(kind="table", C2=C2, table_values=tuple(float(v) for v in vals))
 
     def log_F(self, n: int) -> float:

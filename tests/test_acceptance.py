@@ -9,10 +9,12 @@ import math
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bhneumann
 from bhneumann import (
     GroupContext,
     GrowthProfile,
@@ -278,6 +280,9 @@ def test_c09_bertrand(capsys):
 def test_c10_determinism(capsys):
     t0 = time.perf_counter()
     ok = False
+    # run from the directory holding the imported package, so the
+    # subprocess finds it without PYTHONPATH
+    src = Path(bhneumann.__file__).resolve().parents[1]
     try:
         for fmt in ("tsv", "json"):
             argv = [
@@ -285,8 +290,8 @@ def test_c10_determinism(capsys):
                 "--profile", "toy", "--n", "5", "--seed", "7",
                 "--format", fmt,
             ]
-            first = subprocess.run(argv, capture_output=True)
-            second = subprocess.run(argv, capture_output=True)
+            first = subprocess.run(argv, capture_output=True, cwd=src)
+            second = subprocess.run(argv, capture_output=True, cwd=src)
             assert first.returncode == 0 and second.returncode == 0
             assert first.stdout == second.stdout
             assert first.stdout

@@ -300,6 +300,9 @@ def test_bad_flag_value_exits_2(capsys):
         '{"profile": "table", "params": {"values": [true, 2.0]}}',
         '{"n": true, "seed": false}',
         '{"budget_ms": true}',
+        '{"profile": "builtin", "params": {"C2": -300}}',
+        '{"profile": "bprime", "params": {"C2": -300}}',
+        '{"profile": "table", "params": {"values": [1.0, 2.0, 3.0], "C2": -5}}',
     ],
 )
 def test_bad_param_value_exits_2(capsys, tmp_path, config):

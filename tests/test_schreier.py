@@ -1,5 +1,6 @@
 """Stabilizer chains checked against brute-force closure enumeration."""
 
+import itertools
 import math
 
 import numpy as np
@@ -9,8 +10,8 @@ from bhneumann import perm as P
 from bhneumann import schreier as S
 
 
-def bfs_closure_order(gens: list[P.Permutation], cap: int = 50_000) -> int:
-    """Exact group order by breadth-first closure under the generators."""
+def bfs_closure(gens: list[P.Permutation], cap: int = 50_000) -> set[bytes]:
+    """Image bytes of every group element, by breadth-first closure."""
     d = gens[0].degree
     start = P.identity(d).images.tobytes()
     seen = {start}
@@ -27,7 +28,21 @@ def bfs_closure_order(gens: list[P.Permutation], cap: int = 50_000) -> int:
                     if len(seen) > cap:
                         raise RuntimeError("closure exceeded cap")
         frontier = nxt
-    return len(seen)
+    return seen
+
+
+def bfs_closure_order(gens: list[P.Permutation], cap: int = 50_000) -> int:
+    """Exact group order by breadth-first closure under the generators."""
+    return len(bfs_closure(gens, cap))
+
+
+def assert_membership_matches_closure(chain: S.StabilizerChain, gens) -> None:
+    """contains() agrees with the closure on every permutation of the degree."""
+    closure = bfs_closure(gens)
+    d = gens[0].degree
+    for images in itertools.permutations(range(d)):
+        p = P.Permutation(np.array(images, dtype=np.int32))
+        assert S.contains(chain, p) == (p.images.tobytes() in closure), images
 
 
 def test_trivial_group():
@@ -43,12 +58,14 @@ def test_alt5_vs_bfs():
     gens = list(P.make_generators(5, 2, 2))
     chain = S.build_chain(gens)
     assert S.group_order(chain) == 60 == bfs_closure_order(gens)
+    assert_membership_matches_closure(chain, gens)
 
 
 def test_alt7_vs_bfs():
     gens = list(P.make_generators(7, 2, 2))
     chain = S.build_chain(gens)
     assert S.group_order(chain) == 2520 == bfs_closure_order(gens)
+    assert_membership_matches_closure(chain, gens)
 
 
 @pytest.mark.parametrize(
@@ -74,7 +91,9 @@ def test_alt7_vs_bfs():
     ],
 )
 def test_small_orders_match_bfs(gens, want):
-    assert S.group_order(S.build_chain(gens)) == want == bfs_closure_order(gens)
+    chain = S.build_chain(gens)
+    assert S.group_order(chain) == want == bfs_closure_order(gens)
+    assert_membership_matches_closure(chain, gens)
 
 
 def test_alt11_exact_order():
@@ -152,6 +171,23 @@ def test_ladder_certificate_matches_full_sweep(d, r):
     assert S.verify_alt_generation(d, r, r)
     assert S._ladder_bound(*P.make_generators(d, r, r), r) == want
     assert S.group_order(S.build_chain(list(P.make_generators(d, r, r)))) == want
+
+
+UNEQUAL_PAIRS = [
+    (d, r1, r2)
+    for d in (5, 7)
+    for r1 in range(1, d - 1)
+    for r2 in range(1, d - r1)
+    if r1 != r2
+]
+
+
+@pytest.mark.parametrize("d,r1,r2", UNEQUAL_PAIRS)
+def test_unequal_offsets_take_the_chain_and_generate_alt(d, r1, r2):
+    # a d-cycle of prime length and a 3-cycle generate Alt(d) (Jordan)
+    assert S.verify_alt_generation(d, r1, r2)
+    want = math.factorial(d) // 2
+    assert S.group_order(S.build_chain(list(P.make_generators(d, r1, r2)))) == want
 
 
 def test_ladder_bound_refuses_a_prefix_it_does_not_fix():
