@@ -1,5 +1,6 @@
 """Sequence construction cross-checked by sieve and hand-rolled greedy."""
 
+import hashlib
 import math
 import random
 
@@ -114,6 +115,12 @@ def sieve_window(
     for dm, rm in prior:
         sieve.add(dm, rm)
     return sieve.scan(lo, width, d_n)
+
+
+def certificate_digest(seqs: SequenceSet, N: int) -> str:
+    """sha256 of the (d, r, rejected) rows of indices 1..N."""
+    rows = [(c["d"], c["r"], c["rejected"]) for c in map(seqs.certificates.get, range(1, N + 1))]
+    return hashlib.sha256(repr(rows).encode()).hexdigest()
 
 
 def outcome(scan, *args):
@@ -338,6 +345,20 @@ def test_sieve_matches_scan_loop_on_random_priors():
     assert 0 < blocked < 600
 
 
+@pytest.mark.parametrize(
+    "lo,width,prior,d_n,expected",
+    [
+        # k = 5 is open under (a) and rejected by (b): 2k = r(m)
+        (4, 16, [(97, 10)], 1_000_003, (6, 1)),
+        # r(m) >= d(n), so (b) compares r(m) mod d(n): 150 = 53 (mod 97)
+        (52, 8, [(101, 150)], 97, (54, 1)),
+    ],
+    ids=["b-blocks-open-a", "b-offset-past-modulus"],
+)
+def test_sieve_matches_scan_loop_on_windows(lo, width, prior, d_n, expected):
+    assert sieve_window(lo, width, prior, d_n) == scan_window_oracle(lo, width, prior, d_n) == expected
+
+
 @pytest.mark.parametrize("d_n", [2**64 - 59, 2**89 - 1, 1_000_003])
 def test_sieve_matches_scan_loop_past_int64(d_n):
     big = [2**64 - 59, 2**89 - 1, 2**62 + 135]
@@ -369,6 +390,19 @@ def test_toy_profile_breaks_at_4593():
     assert "r(4593) = 24528" in str(err.value)
     assert seqs.known == 4592
     assert 3 * seqs.r_of(4592) < seqs.d_of(4592)
+    assert certificate_digest(seqs, 4592) == (
+        "3bb12065f6c104038174020b724d5711922bdc1be33b28e19315f69f5bafdd8c"
+    )
+
+
+def test_builtin_certificates_to_10_000():
+    # (d, r, rejected) of every index, captured before the offset sieve
+    # moved from numpy arrays to a bytearray
+    seqs = SequenceSet(GrowthProfile.builtin())
+    seqs.ensure(10_000)
+    assert certificate_digest(seqs, 10_000) == (
+        "749be1e02b438e015e777c5ffd2ff8bb0e9cc52165d4c81a4929e67c2da64d32"
+    )
 
 
 def test_divisor_beyond_primality_range_names_the_index():
@@ -378,6 +412,19 @@ def test_divisor_beyond_primality_range_names_the_index():
         seqs.ensure(8)
     assert "d(8)" in str(err.value)
     assert seqs.known == 7
+
+
+def test_bprime_certificates_until_divisor_leaves_primality_range():
+    # d(2142) would pass the deterministic Miller-Rabin bound; the moduli
+    # pass 2**64 from index 783 on
+    seqs = SequenceSet(GrowthProfile.bprime())
+    with pytest.raises(SequenceConstructionError) as err:
+        seqs.ensure(2142)
+    assert "d(2142)" in str(err.value)
+    assert seqs.known == 2141
+    assert certificate_digest(seqs, 2141) == (
+        "465c296c6aa4bcce298aee6078e6e6e4cee8b8910c1a100351ca801663c11fe2"
+    )
 
 
 def test_certificates_recorded(toy_seqs):
