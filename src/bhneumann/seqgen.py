@@ -11,16 +11,17 @@ admissibility conditions against all earlier indices m < n:
   (b)  r(m) is not congruent to +-k or +-2k modulo d(n).
 
 The window is sieved, not scanned candidate by candidate.  Condition (a)
-does not depend on n, so one bitmap over k in [1, H] carries it for the
-whole sequence: each derived index marks its four residues by first hit
-plus stride d(m), and when a window edge passes H the bitmap doubles and
-only the new stretch is marked.  Condition (b) is, for d(n) odd,
-k = +-r(m) or +-r(m)/2 (mod d(n)); each window marks those at most
-4(n - 1) residues in one vectorised pass.  The first position neither
-condition blocks is r(n), and its place in the window is the number of
-rejected candidates, so equal inputs always give equal sequences.
-Moduli of 2**62 and above (the bprime profile reaches them) are handled
-with exact Python integers.
+does not depend on n, so one bytearray over k in [0, H] carries it for
+the whole sequence: each derived index marks its four residues with one
+strided slice per residue, and when a window edge passes H the array
+doubles and only the new stretch is marked.  Condition (b) is tested
+only at the positions (a) leaves open, which bytearray.find walks in
+order: k is rejected when +-k or +-2k (mod d(n)) is an earlier offset
+(taken mod d(n) once some offset reaches d(n)).  The first position
+neither condition blocks is r(n), and its place in the window is the
+number of rejected candidates, so equal inputs always give equal
+sequences.  Everything is exact Python integer arithmetic, whatever the
+size of the moduli.
 """
 
 from __future__ import annotations
@@ -169,123 +170,73 @@ def f_of(profile: GrowthProfile, n: int) -> int:
     return math.ceil(y / math.log(y))
 
 
-# Offsets, window edges and the moduli the sieve keeps in int64 stay below
-# 2**62, so a residue plus a modulus never overflows.  Condition (b) takes
-# a larger d(n) in exact object-dtype arithmetic; condition (a) caps a
-# larger d(m) at this bound (see _OffsetSieve.add).
-_INT64_SAFE = 1 << 62
-
 # Scale of the advisory growth floor in validate_hypotheses.
 _GROWTH_FLOOR_C0 = 1.0
-
-
-def _mark(view: np.ndarray, lo: int, c: np.ndarray, d) -> None:
-    """Set view[k - lo - 1] for every k in (lo, lo + len(view)] with k = c (mod d).
-
-    c holds residues in [0, d] and d their moduli (an array of the same
-    length or one int); each residue is placed at its first hit above lo
-    and then strided by its modulus until it leaves the stretch.  The
-    arithmetic runs in place: fresh temporaries of this size cost more
-    than the operations themselves.
-    """
-    first = lo % d + 1  # lo + 1 as a residue in [1, d]
-    j = np.multiply(c < first, d, dtype=c.dtype)
-    j += c
-    j -= first  # j = k - lo - 1 for the first hit k
-    while True:
-        inside = j < len(view)
-        j = j[inside]
-        if not j.size:
-            return
-        view[j.astype(np.intp, copy=False)] = True
-        if np.ndim(d):
-            d = d[inside]
-        j += d
 
 
 class _OffsetSieve:
     """Blocked window positions for the greedy offset search.
 
     Condition (a) depends only on k and on the indices already added, so
-    it lives in one persistent bitmap over k in [0, H].  Each added index
-    marks its residues +-r, +-2r (mod d) once; when a window reaches past
-    H, the bitmap doubles and only the new stretch is marked, for all
-    indices at once.  Condition (b) depends on the modulus of the index
-    being derived and is marked per window.
+    it lives in one persistent bytearray over k in [0, H], a nonzero byte
+    marking a blocked k.  Each added index marks its residues +-r, +-2r
+    (mod d) once; when a window reaches past H, the array doubles and
+    only the new stretch is marked, for every stored residue.  Condition
+    (b) depends on the modulus of the index being derived and is tested
+    against the set of added offsets, position by position.
     """
 
     def __init__(self) -> None:
-        self._blocked = np.zeros(1, dtype=bool)  # position k at index k
-        self._res: list[int] = []  # condition (a) residues ...
-        self._mod: list[int] = []  # ... and their moduli, capped
-        self._r = np.empty(64, dtype=np.int64)  # offsets, for condition (b)
+        self._blocked = bytearray(1)  # position k at index k
+        self._residues: list[tuple[int, int]] = []  # condition (a): (residue, modulus)
+        self._used: set[int] = set()  # offsets, for condition (b)
         self._r_max = -1
-        self._count = 0
+
+    def _mark(self, c: int, d: int, lo: int) -> None:
+        """Block every k in (lo, H] with k = c (mod d)."""
+        first = lo + 1 + (c - lo - 1) % d
+        self._blocked[first::d] = b"\x01" * len(range(first, len(self._blocked), d))
 
     def add(self, d: int, r: int) -> None:
         """Record index (d, r): mark its condition (a) residues up to H."""
-        if not 0 <= r < _INT64_SAFE or d < 1:
-            raise ValueError(f"offset sieve needs d >= 1 and 0 <= r < 2**62, got {(d, r)}")
-        res = [r % d, -r % d, 2 * r % d, -2 * r % d]
-        if d >= _INT64_SAFE:
-            # The bitmap never reaches 2**62, so such a modulus hits each
-            # residue at most once, exactly as the stride 2**62 does.
-            res = [c for c in res if c < _INT64_SAFE]
-            d = _INT64_SAFE
-        self._res += res
-        self._mod += [d] * len(res)
-        _mark(self._blocked[1:], 0, np.array(res, dtype=np.int64), d)
-        if self._count == len(self._r):
-            self._r = np.concatenate([self._r, np.empty_like(self._r)])
-        self._r[self._count] = r
+        if d < 1 or r < 0:
+            raise ValueError(f"offset sieve needs d >= 1 and r >= 0, got {(d, r)}")
+        for c in {r % d, -r % d, 2 * r % d, -2 * r % d}:
+            self._residues.append((c, d))
+            self._mark(c, d, 0)
+        self._used.add(r)
         self._r_max = max(self._r_max, r)
-        self._count += 1
 
     def _grow(self, hi: int) -> None:
         old = len(self._blocked) - 1
         if hi <= old:
             return
-        top = max(2 * old, hi)
-        if top >= _INT64_SAFE:
-            raise ValueError(f"offset window edge {hi} is beyond the sieve's range")
-        blocked = np.zeros(top + 1, dtype=bool)
-        blocked[: old + 1] = self._blocked
-        res = np.array(self._res, dtype=np.int64)
-        _mark(blocked[old + 1 :], old, res, np.array(self._mod, dtype=np.int64))
-        self._blocked = blocked
+        self._blocked += bytes(max(old, hi - old))  # H becomes max(2H, hi)
+        for c, d in self._residues:
+            self._mark(c, d, old)
 
     def scan(self, lo: int, width: int, d_n: int) -> tuple[int, int]:
         """First admissible offset in (lo, lo + width], plus the reject count.
 
-        d_n is the odd modulus of the index being derived.  A position is
-        blocked by condition (a) through the bitmap and by condition (b)
-        when k = +-r(m) or +-r(m)/2 (mod d_n) for some added r(m); the
-        first position neither blocks is the offset, and its place in the
-        window is the number of candidates rejected before it.  Raises
-        NoAdmissibleResidue when the whole window is blocked.
+        d_n is the modulus of the index being derived.  bytearray.find
+        walks the positions condition (a) leaves open; such a k is
+        blocked by condition (b) when k, -k, 2k or -2k (mod d_n) is an
+        added offset r(m), read mod d_n.  The first position neither
+        blocks is the offset, and its place in the window is the number
+        of candidates rejected before it.  Raises NoAdmissibleResidue
+        when the whole window is blocked.
         """
-        if lo < 0 or width < 1 or d_n % 2 == 0:
-            raise ValueError(f"bad window ({lo}, {lo + width}] or even modulus {d_n}")
+        if lo < 0 or width < 1 or d_n < 1:
+            raise ValueError(f"bad window ({lo}, {lo + width}] or modulus {d_n}")
         hi = lo + width
         self._grow(hi)
-        window = self._blocked[lo + 1 : hi + 1].copy()
-        m = self._count
-        c = np.empty(4 * m, dtype=object if d_n >= _INT64_SAFE else np.int64)
-        a, neg, half, neg_half = c[:m], c[m : 2 * m], c[2 * m : 3 * m], c[3 * m :]
-        a[:] = self._r[:m]
-        if self._r_max >= d_n:
-            a %= d_n
-        np.subtract(d_n, a, out=neg)
-        np.bitwise_and(a, 1, out=half)  # a * 2^-1 mod d_n, d_n odd
-        half *= d_n
-        half += a
-        half >>= 1
-        np.subtract(d_n, half, out=neg_half)
-        _mark(window, lo, c, d_n)
-        i = int(np.argmin(window))
-        if window[i]:
-            raise NoAdmissibleResidue(0, lo, hi)
-        return lo + 1 + i, i
+        used = self._used if self._r_max < d_n else {r % d_n for r in self._used}
+        k = self._blocked.find(0, lo + 1, hi + 1)
+        while k != -1:
+            if used.isdisjoint((k % d_n, -k % d_n, 2 * k % d_n, -2 * k % d_n)):
+                return k, k - lo - 1
+            k = self._blocked.find(0, k + 1, hi + 1)
+        raise NoAdmissibleResidue(0, lo, hi)
 
 
 class SequenceSet:

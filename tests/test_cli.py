@@ -170,8 +170,6 @@ def test_build_error_reported_as_section(capsys, tmp_path):
     assert "DivisorTooSmall" in out
 
 
-# --- exit code 2 paths ------------------------------------------------------------
-
 @pytest.mark.parametrize("command,n", [("build", 8), ("growth", 4)])
 def test_divisor_beyond_primality_range_reported_as_section(capsys, tmp_path, command, n):
     # with C2 = 2390, f(8) passes the deterministic Miller-Rabin bound
@@ -250,6 +248,8 @@ def test_check_greedy_counts_like_the_pairwise_loop(d, r):
     assert row["violations"] == greedy_violations_oracle(seqs, len(d))
     assert row["ok"] == (row["violations"] == 0)
 
+
+# --- exit code 2 paths ------------------------------------------------------------
 
 def test_bad_profile_exits_2(capsys, tmp_path):
     cfgfile = tmp_path / "cfg.json"
