@@ -56,6 +56,7 @@ from .neumann import (
     equal,
     is_trivial,
     signature,
+    span_cutoff,
     spread_ok,
     witness,
 )
@@ -124,6 +125,7 @@ __all__ = [
     "equal",
     "is_trivial",
     "signature",
+    "span_cutoff",
     "spread_ok",
     "witness",
     "BoundTable",

@@ -5,17 +5,20 @@ full cycle x -> x+1 there and the second to the 3-cycle at
 (0, r(m), 2r(m)).  A word is trivial in the group iff it is trivial in
 every coordinate.  Two facts make that decidable:
 
-* The lamp-state evaluation (wreath module) is a quotient of the group,
-  and whenever a coordinate's supports are spread out relative to the
-  word length (r(m) and d(m) - 2r(m) both at least 2n+1 for words of
-  length n), triviality at that coordinate is equivalent to lamp-state
-  triviality.
+* The lamp-state evaluation (wreath module) is a quotient of the group.
+  A word with trivial lamp state is, at every coordinate, a product of
+  the 3-cycles tau_i = (i, i+r, i+2r) mod d over the shifts i at which
+  it reads b or B.  If those shifts lie within a span W and both r(m)
+  and d(m) - 2r(m) exceed W, the tau_i pairwise commute and the product
+  collapses to the lamp state, which is trivial: the coordinate cannot
+  tell the word from the identity.
 * The offsets grow past their index, so all but finitely many
-  coordinates satisfy the spread condition for a given length; the
-  cutoff operation computes where that happens and asserts the boundary.
+  coordinates clear any given span; span_cutoff finds the last one that
+  does not and asserts the boundary.
 
-So the word problem reduces to one lamp-state check plus finitely many
-coordinate evaluations below the cutoff.
+So the word problem reduces to one lamp-state check plus the
+coordinates up to the word's own span cutoff.  Signatures and balls
+keep the length cutoff, whose span 2n covers every word of length n.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ __all__ = [
     "coordinate_eval",
     "spread_ok",
     "cutoff",
+    "span_cutoff",
     "is_trivial",
     "equal",
     "signature",
@@ -53,16 +57,17 @@ class GroupContext:
 
     The table cache maps coordinate index m to an int32 array of shape
     (4, d(m)) whose rows are the image tables of the letters a, A, b, B.
-    The cutoff cache maps a word length n to cutoff(ctx, n); derived and
-    preset tables never change at a known index, so neither cache goes
-    stale.  Contexts are immutable once built apart from lazy
-    materialization.
+    The cutoff caches map a word length n to cutoff(ctx, n) and a span W
+    to span_cutoff(ctx, W); derived and preset tables never change at a
+    known index, so no cache goes stale.  Contexts are immutable once
+    built apart from lazy materialization.
     """
 
     def __init__(self, seqs: SequenceSet):
         self.seqs = seqs
         self._tabs: dict[int, np.ndarray] = {}
         self._cutoffs: dict[int, int] = {}
+        self._spans: dict[int, int] = {}
 
     def degree(self, m: int) -> int:
         return self.seqs.d_of(m)
@@ -123,23 +128,31 @@ def coordinate_eval(ctx: GroupContext, word: str, m: int) -> Permutation:
     return Permutation(_kernels.image(ctx.degree(m), s, sigma))
 
 
-def spread_ok(ctx: GroupContext, m: int, n: int) -> bool:
-    """Support separation at coordinate m for words of length n."""
+def _clears(ctx: GroupContext, m: int, span: int) -> bool:
+    """Whether r(m) and d(m) - 2r(m) both exceed span at coordinate m."""
     r = ctx.seqs.r_of(m)
     d = ctx.seqs.d_of(m)
-    return r >= 2 * n + 1 and d - 2 * r >= 2 * n + 1
+    return r > span and d - 2 * r > span
+
+
+def spread_ok(ctx: GroupContext, m: int, n: int) -> bool:
+    """Support separation at coordinate m for words of length n."""
+    return _clears(ctx, m, 2 * n)
 
 
 def cutoff(ctx: GroupContext, n: int) -> int:
     """Largest coordinate where separation fails for length-n words.
 
-    Scans m <= 2n+1: beyond that the offset construction forces
-    r(m) > m >= 2n+2.  The second half of the separation condition is
-    asserted explicitly on the scanned tail and at the first coordinate
-    past the scan, raising SpreadAssertionFailed if a degenerate profile
-    violates it.  A preset table need not keep r(m) > m, so every index
-    of it is scanned.  The result is memoised on the context; a raised
-    SpreadAssertionFailed is not, so a failing profile fails every call.
+    Signatures and ``ball`` use it: separation at span 2n covers the
+    b-shifts of every word of length n, so the coordinates up to it
+    tell apart all words of length n / 2.  Scans m <= 2n+1: beyond that the offset construction
+    forces r(m) > m >= 2n+2.  The second half of the separation
+    condition is asserted explicitly on the scanned tail and at the
+    first coordinate past the scan, raising SpreadAssertionFailed if a
+    degenerate profile violates it.  A preset table need not keep
+    r(m) > m, so every index of it is scanned.  The result is memoised
+    on the context; a raised SpreadAssertionFailed is not, so a failing
+    profile fails every call.
     """
     m0 = ctx._cutoffs.get(n)
     if m0 is None:
@@ -168,6 +181,56 @@ def _scan_cutoff(ctx: GroupContext, n: int) -> int:
     return m0
 
 
+def span_cutoff(ctx: GroupContext, span: int) -> int:
+    """Largest coordinate m with r(m) <= span or d(m) - 2r(m) <= span, else 0.
+
+    Past it, the b-shifts of a word that lie at most span apart give
+    pairwise commuting 3-cycles (see is_trivial).  A derived sequence
+    keeps m < r(m) and 3r(m) < d(m) (the derivation enforces both), so
+    every m >= span clears the span: the scan stops at m = span + 1,
+    where the spread is asserted, raising SpreadAssertionFailed if a
+    degenerate profile violates it.  A preset table need not keep
+    either inequality, so every index of it is scanned.  The result is
+    memoised on the context; a raised SpreadAssertionFailed is not, so a
+    failing profile fails every call.
+    """
+    m0 = ctx._spans.get(span)
+    if m0 is None:
+        m0 = ctx._spans[span] = _scan_span(ctx, span)
+    return m0
+
+
+def _scan_span(ctx: GroupContext, span: int) -> int:
+    seqs = ctx.seqs
+    last = seqs.known if seqs.is_preset else span
+    m0 = max((m for m in range(1, last + 1) if not _clears(ctx, m, span)), default=0)
+    m = span + 1
+    if not seqs.is_preset and not _clears(ctx, m, span):
+        r, d = seqs.r_of(m), seqs.d_of(m)
+        raise SpreadAssertionFailed(
+            f"coordinate {m}: r = {r}, d - 2r = {d - 2 * r}, not both above the span {span}"
+        )
+    return m0
+
+
+def _b_span(word: str) -> int:
+    """max - min of the shifts at which the word reads b or B; 0 if none."""
+    s = 0
+    lo = hi = None
+    for ch in word:
+        if ch == "a":
+            s += 1
+        elif ch == "A":
+            s -= 1
+        elif lo is None:
+            lo = hi = s
+        elif s < lo:
+            lo = s
+        elif s > hi:
+            hi = s
+    return 0 if lo is None else hi - lo
+
+
 def _identity_at(ctx: GroupContext, codes: np.ndarray, m: int) -> bool:
     """Whether the word is the identity at m; exact only for a-exponent sum 0."""
     s, sigma = _kernels.eval_word(ctx.letter_tables(m), codes)
@@ -175,18 +238,26 @@ def _identity_at(ctx: GroupContext, codes: np.ndarray, m: int) -> bool:
 
 
 def is_trivial(ctx: GroupContext, word: str) -> bool:
-    """Exact word problem: lamp state plus coordinates below the cutoff.
+    """Exact word problem: lamp state plus coordinates up to the span cutoff.
 
-    Coordinates above the cutoff satisfy the separation condition for
-    this length, where triviality is equivalent to lamp-state
-    triviality, so checking them would be redundant.
+    After free reduction, a word with nontrivial lamp state is
+    nontrivial.  Otherwise its shift is 0 and, at every coordinate, its
+    image is the product, in word order, of the 3-cycles
+    tau_i = (i, i+r, i+2r) mod d, or their inverses, over the shifts i at
+    which it reads b or B.  Let W be the span (max - min) of those
+    shifts.  For two of them, i != j, the supports of tau_i and tau_j
+    meet only if i - j = 0, +-r or +-2r (mod d).  With |i - j| <= W,
+    r > W and d - 2r > W, none of these can hold, so all the tau_i
+    commute and the image is the product of tau_i to the power of the
+    lamp at i, which is the identity because every lamp is 0.  So only the coordinates up to
+    span_cutoff(W) can see the word, and exactly those are checked.
     """
     w = free_reduce(word)
     if not w:
         return True
     if not w_eval(w).is_identity():
         return False
-    m0 = cutoff(ctx, len(w))
+    m0 = span_cutoff(ctx, _b_span(w))
     codes = to_codes(w)
     for m in range(1, m0 + 1):
         if not _identity_at(ctx, codes, m):
@@ -227,9 +298,13 @@ def witness(ctx: GroupContext, m: int) -> str:
     share one support point, so they do not commute; at every other
     coordinate the supports are disjoint (this is what the offset
     admissibility conditions buy) and the commutator collapses.  The
-    reduced length is exactly 4 + 4 r(m).  All three defining
-    properties are verified and WitnessCheckFailed reports any miss,
-    since a miss would mean the offset data is corrupt.
+    reduced length is exactly 4 + 4 r(m).  The word reads b only at the
+    shifts 0 and r(m), so coordinates past span_cutoff(r(m)) cannot see
+    it (see is_trivial); on derived sequences that cutoff is m itself
+    as long as the offsets grow with the index.  All three defining
+    properties are verified up to that cutoff and WitnessCheckFailed
+    reports any miss, since a miss would mean the offset data is
+    corrupt.
     """
     R = ctx.seqs.r_of(m)
     w = _witness_word(R)
@@ -237,10 +312,10 @@ def witness(ctx: GroupContext, m: int) -> str:
         raise WitnessCheckFailed(f"witness({m}) reduced to length {len(w)}")
     if not w_eval(w).is_identity():
         raise WitnessCheckFailed(f"witness({m}) has nontrivial lamp state")
-    m0 = cutoff(ctx, len(w))
+    m0 = span_cutoff(ctx, R)
     if m > m0:
         raise WitnessCheckFailed(
-            f"witness({m}) length class has cutoff {m0} below m"
+            f"witness({m}) has span cutoff {m0} below m"
         )
     codes = to_codes(w)
     for k in range(1, m0 + 1):

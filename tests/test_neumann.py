@@ -1,30 +1,45 @@
 """Word problem, cutoff, witnesses and balls against brute-force oracles."""
 
+import random
+
 import numpy as np
 import pytest
 
 from bhneumann import (
+    BHNeumannError,
     BudgetExceeded,
+    DegreeTooLarge,
     GroupContext,
+    GrowthProfile,
     Permutation,
     SequenceSet,
     SpreadAssertionFailed,
+    _kernels,
     ball,
+    commutator,
+    compose,
+    conjugate,
     coordinate_eval,
     cutoff,
     enumerate_reduced,
     equal,
+    free_reduce,
     identity,
+    inverse,
     invert,
     is_trivial,
     lamp_data,
+    make_generators,
+    next_prime,
     random_reduced,
     signature,
+    span_cutoff,
     spread_ok,
     support,
     w_eval,
     witness,
 )
+from bhneumann.perm import MAX_DEGREE
 
 
 def dense_trivial_bitmap(tabs: np.ndarray, depth: int) -> np.ndarray:
@@ -117,6 +132,57 @@ def test_cutoff_failure_is_not_memoised():
             cutoff(squeezed, 1)
 
 
+def b_shift_span(word: str) -> int:
+    """max - min of the shifts at which the word reads b or B."""
+    shifts, s = [], 0
+    for ch in word:
+        if ch in "aA":
+            s += 1 if ch == "a" else -1
+        else:
+            shifts.append(s)
+    return max(shifts) - min(shifts)
+
+
+def test_span_cutoff_toy_values(toy_ctx):
+    spans = (0, 1, 2, 3, 4, 5, 8)
+    assert [span_cutoff(toy_ctx, W) for W in spans] == [0, 0, 1, 2, 2, 3, 5]
+
+
+def test_span_cutoff_matches_brute_scan(toy_ctx):
+    for W in range(41):
+        clash = [
+            m for m in range(1, 101)
+            if toy_ctx.offset(m) <= W or toy_ctx.degree(m) - 2 * toy_ctx.offset(m) <= W
+        ]
+        assert span_cutoff(toy_ctx, W) == max(clash, default=0)
+        assert span_cutoff(toy_ctx, W) <= cutoff(toy_ctx, W)
+
+
+def test_span_cutoff_scans_whole_preset():
+    ctx = GroupContext(SequenceSet.preset([101] * 20, [40] * 19 + [1]))
+    assert span_cutoff(ctx, 1) == 20
+    assert span_cutoff(ctx, 0) == 0
+    squeezed = GroupContext(SequenceSet.preset(d=[7] * 4, r=[3] * 4))
+    assert span_cutoff(squeezed, 1) == 4  # d - 2r = 1 everywhere; no boundary to assert
+
+
+def test_span_cutoff_failure_is_not_memoised(monkeypatch):
+    # a derived sequence whose index 3 breaks r(m) > m: the scan for span 2
+    # stops at m = 3 and must refuse, on every call
+    seqs = SequenceSet(GrowthProfile.toy())
+    monkeypatch.setattr(seqs, "r_of", lambda n: 2 if n == 3 else SequenceSet.r_of(seqs, n))
+    ctx = GroupContext(seqs)
+    w = "BaaBAAbaabAA"  # b-shifts 0 and 2, trivial lamp state
+    assert w_eval(w).is_identity() and b_shift_span(w) == 2
+    for _ in range(2):
+        with pytest.raises(SpreadAssertionFailed):
+            is_trivial(ctx, w)
+        with pytest.raises(SpreadAssertionFailed):
+            span_cutoff(ctx, 2)
+    assert 2 not in ctx._spans
+    assert span_cutoff(ctx, 1) == 0
+
+
 # --- single-coordinate evaluation ------------------------------------------
 
 def test_coordinate_eval_identities(toy_ctx):
@@ -204,6 +270,116 @@ def test_word_problem_exhaustive_depth8(toy_ctx):
     assert len(words) == 13_120
 
 
+def dense_trivial(seqs: SequenceSet, word: str) -> bool:
+    """Identity at every coordinate of a preset, by perm.compose per letter."""
+    for m in range(1, seqs.known + 1):
+        d, r = seqs.d_of(m), seqs.r_of(m)
+        alpha, beta = make_generators(d, r, r)
+        gens = {"a": alpha, "A": inverse(alpha), "b": beta, "B": inverse(beta)}
+        p = identity(d)
+        for ch in word:
+            p = compose(p, gens[ch])
+        if p != identity(d):
+            return False
+    return True
+
+
+def lamp_trivial_word(rng: random.Random) -> str:
+    """Product of conjugates of [b, b^(a^k)], sometimes commuted with a random word.
+
+    Half the words are narrow (small k, short conjugators), so that their
+    b-shift span is below the top indices of a preset.
+    """
+    k_max, reach = (3, 2) if rng.random() < 0.5 else (12, 8)
+    w = ""
+    for _ in range(rng.randint(1, 4)):
+        c = commutator("b", conjugate("b", "a" * rng.randint(1, k_max)))
+        if rng.random() < 0.5:
+            c = invert(c)
+        g = random_reduced(rng.randint(0, reach), rng.randrange(2**32))
+        w = free_reduce(w + conjugate(c, g))
+    if w and rng.random() < 0.4:
+        w = commutator(w, random_reduced(rng.randint(1, 20), rng.randrange(2**32)))
+    return w
+
+
+def test_is_trivial_matches_dense_compose_on_random_presets():
+    # presets break r(m) > m and squeeze d - 2r freely: r is anything in [1, (d-1)/2]
+    rng = random.Random(12)
+    answers = []
+    skipped = 0
+    for _ in range(60):
+        d = [next_prime(rng.randint(7, 60)) for _ in range(rng.randint(2, 8))]
+        r = [rng.randint(1, min(rng.choice((6, 30)), (x - 1) // 2)) for x in d]
+        ctx = GroupContext(SequenceSet.preset(d, r))
+        for _ in range(5):
+            w = lamp_trivial_word(rng)
+            assert w_eval(w).is_identity()
+            got = is_trivial(ctx, w)
+            assert got == dense_trivial(ctx.seqs, w), (d, r, w)
+            answers.append(got)
+            if got and w and span_cutoff(ctx, b_shift_span(w)) < len(d):
+                skipped += 1
+    assert answers.count(True) >= 50 and answers.count(False) >= 50
+    assert skipped >= 25  # trivial words decided without their top coordinates
+
+
+def perfbench_trivial_word(rng: random.Random, maxlen: int) -> str:
+    """Conjugates of [b, abA] by short random words, length in [7/8 maxlen, maxlen]."""
+    base = commutator("b", "abA")
+    w = ""
+    while len(w) < maxlen - maxlen // 8:
+        g = random_reduced(rng.randint(0, maxlen // 12), rng.randrange(2**32))
+        c = base if rng.random() < 0.5 else invert(base)
+        longer = free_reduce(w + g + c + invert(g))
+        if len(longer) <= maxlen:
+            w = longer
+    return w
+
+
+def test_is_trivial_work_is_the_span_cutoff(toy_ctx, monkeypatch):
+    sizes = []
+    eval_word = _kernels.eval_word
+
+    def counted(tabs, codes):
+        sizes.append(tabs.shape[1])
+        return eval_word(tabs, codes)
+
+    monkeypatch.setattr(_kernels, "eval_word", counted)
+    rng = random.Random(5)
+    for _ in range(40):
+        w = perfbench_trivial_word(rng, 64)
+        sizes.clear()
+        assert is_trivial(toy_ctx, w)
+        assert len(sizes) == span_cutoff(toy_ctx, b_shift_span(w)) <= 5
+        assert cutoff(toy_ctx, len(w)) >= 65  # what the length cutoff would walk
+    for m in (1, 4, 9):
+        w = witness(toy_ctx, m)
+        w = commutator(w, "ab")  # nontrivial at m only: every lower coordinate is walked
+        sizes.clear()
+        assert not is_trivial(toy_ctx, w)
+        assert len(sizes) == m
+
+
+def test_is_trivial_small_span_on_bprime():
+    # d(1) is far past the dense table limit; a span-1 word never needs it
+    ctx = GroupContext(SequenceSet(GrowthProfile.bprime()))
+    assert is_trivial(ctx, "BaBAbabA")
+    assert ctx.degree(1) > MAX_DEGREE
+    assert ctx._tabs == {}
+
+
+def test_bprime_witness_word_raises_degree_too_large():
+    ctx = GroupContext(SequenceSet(GrowthProfile.bprime()))
+    w = commutator("b", conjugate("b", "a" * ctx.offset(1)))
+    with pytest.raises(DegreeTooLarge) as exc:
+        is_trivial(ctx, w)
+    assert isinstance(exc.value, BHNeumannError)
+    with pytest.raises(DegreeTooLarge):
+        witness(ctx, 1)
+    assert ctx._tabs == {}
+
+
 def test_equal(toy_ctx):
     assert equal(toy_ctx, "ab", "ab")
     assert not equal(toy_ctx, "ba", "ab")
@@ -255,6 +431,12 @@ def test_witness_defining_properties(toy_ctx):
                 dk = toy_ctx.degree(k)
                 assert coordinate_eval(toy_ctx, w, k) == identity(dk)
         assert not is_trivial(toy_ctx, w)
+
+
+def test_witness_span_cutoff_is_its_coordinate(toy_ctx):
+    # offsets grow with the index, so witness(m) walks coordinates 1..m only
+    for m in range(1, 51):
+        assert span_cutoff(toy_ctx, toy_ctx.offset(m)) == m
 
 
 def test_witness_image_structure(toy_ctx):
