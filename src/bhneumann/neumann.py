@@ -17,8 +17,9 @@ every coordinate.  Two facts make that decidable:
   does not and asserts the boundary.
 
 So the word problem reduces to one lamp-state check plus the
-coordinates up to the word's own span cutoff.  Signatures and balls
-keep the length cutoff, whose span 2n covers every word of length n.
+coordinates up to the word's own span cutoff.  Signatures and balls use
+the length cutoff, cutoff(n) = span_cutoff(2n), which covers every
+quotient u v^-1 of two words of length n.
 """
 
 from __future__ import annotations
@@ -53,12 +54,12 @@ __all__ = [
 
 
 class GroupContext:
-    """Sequence data plus caches of letter tables and cutoffs.
+    """Sequence data plus caches of letter tables and span cutoffs.
 
     The table cache maps coordinate index m to an int32 array of shape
     (4, d(m)) whose rows are the image tables of the letters a, A, b, B.
-    The cutoff caches map a word length n to cutoff(ctx, n) and a span W
-    to span_cutoff(ctx, W); derived and preset tables never change at a
+    The one cutoff cache maps a span W to span_cutoff(ctx, W); cutoff(ctx,
+    n) reads it at W = 2n.  Derived and preset tables never change at a
     known index, so no cache goes stale.  Contexts are immutable once
     built apart from lazy materialization.
     """
@@ -66,7 +67,6 @@ class GroupContext:
     def __init__(self, seqs: SequenceSet):
         self.seqs = seqs
         self._tabs: dict[int, np.ndarray] = {}
-        self._cutoffs: dict[int, int] = {}
         self._spans: dict[int, int] = {}
 
     def degree(self, m: int) -> int:
@@ -96,11 +96,13 @@ class ElementSignature:
     """Faithful finite fingerprint of a word within one length class.
 
     Holds the int32 image bytes at every coordinate up to cutoff(2 *
-    n_class) plus the lamp-state evaluation.  Words u, v of length <=
-    n_class are equal in the group iff their signatures compare (and so
-    hash) equal by value: u v^-1 has length <= 2 * n_class, coordinates
-    above that cutoff are controlled by the lamp state, and the stored
-    data covers everything else.
+    n_class) = span_cutoff(4 * n_class) plus the lamp-state evaluation.
+    Words u, v of length <= n_class are equal in the group iff their
+    signatures compare (and so hash) equal by value: u v^-1 reads b at
+    shifts less than 2 * n_class apart, so past cutoff(n_class), and
+    hence past the stored range, the lamp state decides; the stored
+    data covers everything else.  The range is twice what equality
+    needs; it stays, since it fixes the signature bytes and digests.
     """
 
     low_coords: tuple[bytes, ...]
@@ -141,50 +143,22 @@ def spread_ok(ctx: GroupContext, m: int, n: int) -> bool:
 
 
 def cutoff(ctx: GroupContext, n: int) -> int:
-    """Largest coordinate where separation fails for length-n words.
+    """Largest coordinate m where spread_ok(ctx, m, n) fails, else 0.
 
-    Signatures and ``ball`` use it: separation at span 2n covers the
-    b-shifts of every word of length n, so the coordinates up to it
-    tell apart all words of length n / 2.  Scans m <= 2n+1: beyond that the offset construction
-    forces r(m) > m >= 2n+2.  The second half of the separation
-    condition is asserted explicitly on the scanned tail and at the
-    first coordinate past the scan, raising SpreadAssertionFailed if a
-    degenerate profile violates it.  A preset table need not keep
-    r(m) > m, so every index of it is scanned.  The result is memoised
-    on the context; a raised SpreadAssertionFailed is not, so a failing
-    profile fails every call.
+    spread_ok is _clears at span 2n, so this is span_cutoff(ctx, 2n).
+    For words u, v of length <= n, u v^-1 has length <= 2n and reads b
+    at shifts less than 2n apart, so past cutoff(n) no coordinate tells
+    u from v once their lamp states agree (see is_trivial).  Signatures
+    use it.
     """
-    m0 = ctx._cutoffs.get(n)
-    if m0 is None:
-        m0 = ctx._cutoffs[n] = _scan_cutoff(ctx, n)
-    return m0
-
-
-def _scan_cutoff(ctx: GroupContext, n: int) -> int:
-    bound = 2 * n + 1
-    m0 = 0
-    for m in range(1, bound + 1):
-        if not spread_ok(ctx, m, n):
-            m0 = m
-    for m in range(m0 + 1, bound + 2):
-        d = ctx.seqs.d_of(m)
-        r = ctx.seqs.r_of(m)
-        if d - 2 * r < 2 * n + 1:
-            raise SpreadAssertionFailed(
-                f"coordinate {m}: d - 2r = {d - 2 * r} < {2 * n + 1} "
-                f"(cutoff scan for length {n})"
-            )
-    if ctx.seqs.is_preset:
-        for m in range(bound + 1, ctx.seqs.known + 1):
-            if not spread_ok(ctx, m, n):
-                m0 = m
-    return m0
+    return span_cutoff(ctx, 2 * n)
 
 
 def span_cutoff(ctx: GroupContext, span: int) -> int:
     """Largest coordinate m with r(m) <= span or d(m) - 2r(m) <= span, else 0.
 
-    Past it, the b-shifts of a word that lie at most span apart give
+    The one scan that decides which coordinates can see a word.  Past
+    it, the b-shifts of a word that lie at most span apart give
     pairwise commuting 3-cycles (see is_trivial).  A derived sequence
     keeps m < r(m) and 3r(m) < d(m) (the derivation enforces both), so
     every m >= span clears the span: the scan stops at m = span + 1,
@@ -192,7 +166,7 @@ def span_cutoff(ctx: GroupContext, span: int) -> int:
     degenerate profile violates it.  A preset table need not keep
     either inequality, so every index of it is scanned.  The result is
     memoised on the context; a raised SpreadAssertionFailed is not, so a
-    failing profile fails every call.
+    failing profile fails every call.  A negative span raises ValueError.
     """
     m0 = ctx._spans.get(span)
     if m0 is None:
@@ -201,6 +175,8 @@ def span_cutoff(ctx: GroupContext, span: int) -> int:
 
 
 def _scan_span(ctx: GroupContext, span: int) -> int:
+    if span < 0:
+        raise ValueError(f"span must be >= 0, got {span}")
     seqs = ctx.seqs
     last = seqs.known if seqs.is_preset else span
     m0 = max((m for m in range(1, last + 1) if not _clears(ctx, m, span)), default=0)
@@ -266,6 +242,7 @@ def is_trivial(ctx: GroupContext, word: str) -> bool:
 
 
 def equal(ctx: GroupContext, u: str, v: str) -> bool:
+    """Whether words u and v are the same group element: is_trivial(u v^-1)."""
     return is_trivial(ctx, u + invert(v))
 
 

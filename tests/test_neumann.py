@@ -108,10 +108,11 @@ def test_cutoff_matches_brute_scan(toy_ctx):
     assert all(m <= m0 for m in failing)
 
 
-def test_cutoff_degenerate_profile_raises():
+def test_cutoff_degenerate_preset_answers():
+    # d - 2r = 1 everywhere: no index clears span 2, and a preset has no
+    # boundary past its last index to assert
     squeezed = GroupContext(SequenceSet.preset(d=[7] * 4, r=[3] * 4))
-    with pytest.raises(SpreadAssertionFailed):
-        cutoff(squeezed, 1)
+    assert cutoff(squeezed, 1) == 4 == span_cutoff(squeezed, 2)
 
 
 def test_cutoff_memo_agrees_with_fresh_contexts(toy_seqs):
@@ -125,11 +126,44 @@ def test_cutoff_memo_agrees_with_fresh_contexts(toy_seqs):
     assert not is_trivial(preset, "BaBAbabA")
 
 
-def test_cutoff_failure_is_not_memoised():
-    squeezed = GroupContext(SequenceSet.preset(d=[7] * 4, r=[3] * 4))
-    for _ in range(2):
-        with pytest.raises(SpreadAssertionFailed):
-            cutoff(squeezed, 1)
+def test_cutoff_answers_on_short_presets():
+    # 5 indices: fewer than 2n + 2, the scan bound of a derived sequence
+    ctx = GroupContext(SequenceSet.preset([101] * 5, [40] * 5))
+    assert len(ball(ctx, 1)) == 5
+    assert signature(ctx, "bbb", 3) == signature(ctx, "", 3)
+    assert signature(ctx, "ab", 2) != signature(ctx, "ba", 2)
+
+
+def test_cutoff_matches_brute_scan_on_presets_and_derived(toy_seqs):
+    # a preset is scanned at every index; a derived sequence keeps
+    # r(m) > m, so every index past 2n + 1 clears span 2n
+    def brute(ctx, n):
+        last = ctx.seqs.known if ctx.seqs.is_preset else 2 * n + 1
+        return max((m for m in range(1, last + 1) if not spread_ok(ctx, m, n)), default=0)
+
+    rng = random.Random(21)
+    ctxs = [
+        GroupContext(SequenceSet.preset([101] * 5, [40] * 5)),
+        GroupContext(SequenceSet.preset([7] * 4, [3] * 4)),
+        GroupContext(toy_seqs),
+        GroupContext(SequenceSet(GrowthProfile.builtin())),
+    ]
+    for _ in range(40):
+        d = [next_prime(rng.randint(7, 60)) for _ in range(rng.randint(1, 8))]
+        r = [rng.randint(1, (x - 1) // 2) for x in d]  # d - 2r may be 1
+        ctxs.append(GroupContext(SequenceSet.preset(d, r)))
+    for ctx in ctxs:
+        for n in range(12):
+            assert cutoff(ctx, n) == brute(ctx, n), (ctx.seqs, n)
+
+
+def test_negative_arguments_raise(toy_ctx):
+    preset = GroupContext(SequenceSet.preset([101] * 5, [40] * 5))
+    for ctx in (toy_ctx, preset):
+        with pytest.raises(ValueError, match="span"):
+            cutoff(ctx, -1)
+        with pytest.raises(ValueError, match="span"):
+            span_cutoff(ctx, -1)
 
 
 def b_shift_span(word: str) -> int:
@@ -179,6 +213,8 @@ def test_span_cutoff_failure_is_not_memoised(monkeypatch):
             is_trivial(ctx, w)
         with pytest.raises(SpreadAssertionFailed):
             span_cutoff(ctx, 2)
+        with pytest.raises(SpreadAssertionFailed):
+            cutoff(ctx, 1)
     assert 2 not in ctx._spans
     assert span_cutoff(ctx, 1) == 0
 
@@ -270,8 +306,8 @@ def test_word_problem_exhaustive_depth8(toy_ctx):
     assert len(words) == 13_120
 
 
-def dense_trivial(seqs: SequenceSet, word: str) -> bool:
-    """Identity at every coordinate of a preset, by perm.compose per letter."""
+def dense_images(seqs: SequenceSet, word: str):
+    """Image of the word at each coordinate of a preset, by perm.compose per letter."""
     for m in range(1, seqs.known + 1):
         d, r = seqs.d_of(m), seqs.r_of(m)
         alpha, beta = make_generators(d, r, r)
@@ -279,9 +315,12 @@ def dense_trivial(seqs: SequenceSet, word: str) -> bool:
         p = identity(d)
         for ch in word:
             p = compose(p, gens[ch])
-        if p != identity(d):
-            return False
-    return True
+        yield p
+
+
+def dense_trivial(seqs: SequenceSet, word: str) -> bool:
+    """Identity at every coordinate of a preset."""
+    return all(p == identity(p.degree) for p in dense_images(seqs, word))
 
 
 def lamp_trivial_word(rng: random.Random) -> str:
@@ -317,6 +356,11 @@ def test_is_trivial_matches_dense_compose_on_random_presets():
             assert w_eval(w).is_identity()
             got = is_trivial(ctx, w)
             assert got == dense_trivial(ctx.seqs, w), (d, r, w)
+            for k in (len(w) // 3, len(w) // 2):
+                u, v = w[:k], invert(w[k:])  # u v^-1 = w
+                pairs = zip(dense_images(ctx.seqs, u), dense_images(ctx.seqs, v))
+                dense_same = all(p == q for p, q in pairs)
+                assert equal(ctx, u, v) == dense_same == got, (d, r, u, v)
             answers.append(got)
             if got and w and span_cutoff(ctx, b_shift_span(w)) < len(d):
                 skipped += 1
@@ -410,6 +454,27 @@ def test_signature_equal_iff_equal_in_group(toy_ctx):
             if same:
                 assert hash(sigs[u]) == hash(sigs[v])
             assert same == (sigs[u].digest() == sigs[v].digest())
+
+
+def test_signature_matches_dense_images_on_short_presets():
+    # presets of 1-4 indices, all shorter than the 2n + 2 = 10 indices a
+    # derived scan for cutoff(4) would read; several break r(m) > m
+    rng = random.Random(13)
+    words = list(enumerate_reduced(2))
+    broken = equal_pairs = 0
+    for _ in range(8):
+        d = [next_prime(rng.randint(7, 40)) for _ in range(rng.randint(1, 4))]
+        r = [rng.randint(1, min(rng.choice((3, 20)), (x - 1) // 2)) for x in d]
+        broken += any(r[m - 1] <= m for m in range(1, len(r) + 1))
+        ctx = GroupContext(SequenceSet.preset(d, r))
+        sigs = [signature(ctx, w, 2) for w in words]
+        images = [list(dense_images(ctx.seqs, w)) for w in words]
+        for i, u in enumerate(words):
+            for j in range(i + 1, len(words)):
+                same = images[i] == images[j]
+                assert (sigs[i] == sigs[j]) == same == equal(ctx, u, words[j]), (d, r, u, words[j])
+                equal_pairs += same
+    assert broken >= 2 and equal_pairs >= 16  # bb = B and BB = b on every preset
 
 
 def test_signature_digest_distinguishes(toy_ctx):
