@@ -213,10 +213,21 @@ def test_span_cutoff_failure_is_not_memoised(monkeypatch):
             is_trivial(ctx, w)
         with pytest.raises(SpreadAssertionFailed):
             span_cutoff(ctx, 2)
+    assert 2 not in ctx._spans
+    assert span_cutoff(ctx, 1) == 0
+
+
+def test_cutoff_failure_is_not_memoised(monkeypatch):
+    # cutoff(n) is span_cutoff(2n): the same broken index 3 refuses length 1
+    # on every call and leaves no memo entry behind
+    seqs = SequenceSet(GrowthProfile.toy())
+    monkeypatch.setattr(seqs, "r_of", lambda n: 2 if n == 3 else SequenceSet.r_of(seqs, n))
+    ctx = GroupContext(seqs)
+    for _ in range(2):
         with pytest.raises(SpreadAssertionFailed):
             cutoff(ctx, 1)
     assert 2 not in ctx._spans
-    assert span_cutoff(ctx, 1) == 0
+    assert cutoff(ctx, 0) == 0
 
 
 # --- single-coordinate evaluation ------------------------------------------
