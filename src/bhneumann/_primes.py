@@ -4,11 +4,27 @@ from __future__ import annotations
 
 import numpy as np
 
-# Deterministic Miller-Rabin witness set, valid for all n < 3.3 * 10**24.
-# Inputs beyond that bound would make the test merely probabilistic, so
-# is_prime refuses them.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_MR_LIMIT = 3_317_044_064_679_887_385_961_981
+# Deterministic Miller-Rabin witnesses graded by size.  Each row
+# (bound, witnesses) holds the first k primes with psi_k = bound, psi_k
+# the least strong pseudoprime to all of them, so they certify every
+# n < bound.  The first row covering n is used, so a degree below
+# 1 373 653 (toy and builtin at the sizes the CLI and tests run) needs 2
+# rounds.  Past the last bound the test would be merely probabilistic, so
+# is_prime refuses such inputs.
+_MR_TABLE = (
+    (2_047, (2,)),
+    (1_373_653, (2, 3)),
+    (25_326_001, (2, 3, 5)),
+    (3_215_031_751, (2, 3, 5, 7)),
+    (2_152_302_898_747, (2, 3, 5, 7, 11)),
+    (3_474_749_660_383, (2, 3, 5, 7, 11, 13)),
+    (341_550_071_728_321, (2, 3, 5, 7, 11, 13, 17)),
+    (3_825_123_056_546_413_051, (2, 3, 5, 7, 11, 13, 17, 19, 23)),
+    (318_665_857_834_031_151_167_461, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)),
+    (3_317_044_064_679_887_385_961_981, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)),
+)
+_MR_LIMIT = _MR_TABLE[-1][0]
+_SMALL_PRIMES = _MR_TABLE[-1][1]
 
 
 def is_prime(n: int) -> bool:
@@ -17,7 +33,7 @@ def is_prime(n: int) -> bool:
         raise ValueError(f"is_prime supports 0 <= n < {_MR_LIMIT}")
     if n < 2:
         return False
-    for p in _MR_WITNESSES:
+    for p in _SMALL_PRIMES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -25,7 +41,8 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_WITNESSES:
+    witnesses = next(w for bound, w in _MR_TABLE if n < bound)
+    for a in witnesses:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue

@@ -227,6 +227,11 @@ def is_trivial(ctx: GroupContext, word: str) -> bool:
     commute and the image is the product of tau_i to the power of the
     lamp at i, which is the identity because every lamp is 0.  So only the coordinates up to
     span_cutoff(W) can see the word, and exactly those are checked.
+
+    On a preset the answer is for the tower whose first coordinates are
+    the preset's and whose later ones clear every span (see
+    SequenceSet.preset): the lamp state still decides, so a word that is
+    the identity at every preset coordinate can be nontrivial.
     """
     w = free_reduce(word)
     if not w:

@@ -30,8 +30,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from ._primes import _MR_LIMIT, is_prime, next_prime, sieve
 from .errors import (
     DivisorTooSmall,
@@ -174,6 +172,43 @@ def f_of(profile: GrowthProfile, n: int) -> int:
 _GROWTH_FLOOR_C0 = 1.0
 
 
+def _pairwise_violations(D: list[int], R: list[int]) -> list[int]:
+    """Per index n, the m < n breaking condition (a) plus those breaking (b).
+
+    Both conditions ask which offsets lie in the classes +-r(j), +-2r(j)
+    modulo d(j) of one index j: an offset r(i), i > j, in them breaks
+    (a) for row i, and one with i < j breaks (b) for row j.  So a dict
+    from offset value to the indices holding it is built once, and each
+    class of each j is walked through [min r, max r] in steps of d(j),
+    span / d(j) lookups per class.  Where that walk would be longer than
+    the table (a small modulus against a wide spread of preset offsets),
+    r(i) mod d(j) is compared directly for every i instead.  An index
+    hit in several classes of j counts once.
+    """
+    N = len(R)
+    where: dict[int, list[int]] = {}
+    for i, x in enumerate(R):
+        where.setdefault(x, []).append(i)
+    lo, hi = min(R), max(R)
+    counts = [0] * N
+    for j in range(N):
+        d, r = abs(D[j]), R[j]  # the classes mod d and mod -d are the same
+        classes = {r % d, -r % d, 2 * r % d, -2 * r % d}
+        if (hi - lo) // d < N:
+            hits = {
+                i
+                for c in classes
+                for x in range(lo + (c - lo) % d, hi + 1, d)
+                for i in where.get(x, ())
+            }
+        else:
+            hits = {i for i, x in enumerate(R) if x % d in classes}
+        hits.discard(j)
+        for i in hits:
+            counts[max(i, j)] += 1
+    return counts
+
+
 class _OffsetSieve:
     """Blocked window positions for the greedy offset search.
 
@@ -269,6 +304,14 @@ class SequenceSet:
         No derivation and no admissibility scanning happens, so the
         tables may violate the construction's own conditions on purpose.
         Certificates are marked preset.
+
+        The word problem (neumann.is_trivial, equal, signature) reads a
+        preset as the first coordinates of a tower whose later
+        coordinates clear every span.  Such coordinates see only the lamp
+        state, so a word that is the identity at every preset coordinate
+        is still nontrivial when its lamp state is: on preset([7], [2]),
+        b a^7 B A^7 is the identity at coordinate 1, yet its lamps at
+        shifts 0 and 7 make it nontrivial.
         """
         if len(d) != len(r):
             raise ValueError("d and r must have equal length")
@@ -378,12 +421,7 @@ class SequenceSet:
         sum(1/d(m)) < 1/16.
         """
         self.ensure(N)
-        # int64 holds 2r exactly below 2**62; larger values stay Python ints
-        dtype = np.int64 if all(abs(x) < 2**62 for x in self._d[:N] + self._r[:N]) else object
-        D = np.array(self._d[:N], dtype=dtype)
-        R = np.array(self._r[:N], dtype=dtype)
-        # condition (a): row n tests r(n) against these residues of every m < n
-        blocked_a = np.stack([R % D, -R % D, 2 * R % D, -2 * R % D])
+        violations = _pairwise_violations(self._d[:N], self._r[:N])
         rows = []
         series = 0.0
         all_hard = True
@@ -395,13 +433,7 @@ class SequenceSet:
             floor_ok = d >= 16 * n
             window_ok = n <= d // 4
             offset_ok = n < r <= 18 * n - 1 and 3 * r < d
-            blocked_b = np.array([r % d, -r % d, 2 * r % d, -2 * r % d], dtype=dtype)
-            hit_a = blocked_a[:, : n - 1] == r % D[: n - 1]  # column m: (a) against index m
-            hit_b = (R[: n - 1] % d)[:, None] == blocked_b  # row m: (b) against index m
-            pair_ok = not (hit_a.any() or hit_b.any())
-            violations = 0
-            if not pair_ok:
-                violations = int(hit_a.any(axis=0).sum() + hit_b.any(axis=1).sum())
+            pair_ok = violations[n - 1] == 0
             if n >= 3:
                 lln = math.log(math.log(n))
                 c0 = _GROWTH_FLOOR_C0
@@ -424,7 +456,7 @@ class SequenceSet:
                     "window_ok": window_ok,
                     "offset_ok": offset_ok,
                     "pairwise_ok": pair_ok,
-                    "pairwise_violations": violations,
+                    "pairwise_violations": violations[n - 1],
                     "growth_floor_ok": growth_ok,
                 }
             )

@@ -92,6 +92,16 @@ def test_cutoff_scans_whole_preset():
     assert not is_trivial(ctx, w)
 
 
+def test_preset_is_read_as_the_first_coordinates_of_a_tower():
+    # identity at the one preset coordinate, but later coordinates of the
+    # tower see the lamps at shifts 0 and 7
+    ctx = GroupContext(SequenceSet.preset([7], [2]))
+    w = "b" + "a" * 7 + "B" + "A" * 7
+    assert coordinate_eval(ctx, w, 1) == identity(7)
+    assert not w_eval(w).is_identity()
+    assert not is_trivial(ctx, w)
+
+
 def test_cutoff_zero_length(toy_ctx):
     assert cutoff(toy_ctx, 0) == 0
 

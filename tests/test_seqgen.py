@@ -18,6 +18,7 @@ from bhneumann import (
     next_prime,
     sieve,
 )
+from bhneumann._primes import _MR_LIMIT, _MR_TABLE
 from bhneumann.seqgen import _OffsetSieve
 
 
@@ -161,6 +162,50 @@ def test_mersenne_61():
 def test_is_prime_range_limit():
     with pytest.raises(ValueError):
         is_prime(3_317_044_064_679_887_385_961_981)
+
+
+def strong_probable_prime(n: int, bases) -> bool:
+    """Miller-Rabin rounds of odd n > max(bases) to the given bases."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+FIRST_13_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def test_is_prime_rejects_each_graded_bound():
+    # every bound but the last is the least strong pseudoprime to its own
+    # witnesses, so is_prime must reach the next row to reject it
+    assert _MR_TABLE[-1][0] == _MR_LIMIT
+    for bound, witnesses in _MR_TABLE[:-1]:
+        assert witnesses == FIRST_13_PRIMES[: len(witnesses)]
+        assert strong_probable_prime(bound, witnesses)
+        assert not is_prime(bound)
+    assert 318_665_857_834_031_151_167_461 == 399_165_290_221 * 798_330_580_441
+    assert not is_prime(318_665_857_834_031_151_167_461)
+
+
+def test_is_prime_matches_all_thirteen_witnesses_around_each_bound():
+    # below _MR_LIMIT the first 13 primes as witnesses decide every n
+    for bound, _ in _MR_TABLE:
+        for n in range(max(bound - 600, 0), min(bound + 600, _MR_LIMIT)):
+            want = n in FIRST_13_PRIMES or (
+                n > 41 and all(n % p for p in FIRST_13_PRIMES)
+                and strong_probable_prime(n, FIRST_13_PRIMES)
+            )
+            assert is_prime(n) == want, n
 
 
 def test_next_prime():
@@ -499,6 +544,34 @@ def test_validate_pairwise_matches_loop(d, r):
     assert [row["pairwise_ok"] for row in rows] == [c == 0 for c in counts]
     # past the deterministic Miller-Rabin range a modulus is not certified prime
     assert all(row["prime_ok"] is False for row in rows if row["d"] == 2**89 - 1)
+
+
+def test_validate_pairwise_matches_loop_on_random_presets():
+    # duplicate and negative offsets, moduli 1..40 against offsets spread
+    # near 2**70 (a walk longer than the table: direct comparison) and
+    # moduli near 2**70 (a short residue-class walk); a few moduli are
+    # negative, which name the same classes as their absolute values
+    rng = random.Random(20241)
+    for trial in range(400):
+        n = rng.randint(1, 14)
+        pool = [rng.randint(-50, 50) for _ in range(4)]
+        d, r = [], []
+        for _ in range(n):
+            modulus = rng.randint(1, 40) if rng.random() < 0.7 else 2**70 - rng.randint(0, 99)
+            d.append(-modulus if rng.random() < 0.1 else modulus)
+            if trial % 2 and rng.random() < 0.3:
+                r.append(rng.choice([2**70 - rng.randint(0, 99), -(2**69) - rng.randint(0, 99)]))
+            else:
+                r.append(rng.choice(pool) if rng.random() < 0.5 else rng.randint(-80, 80))
+        rows = SequenceSet.preset(d, r).validate_hypotheses(n)["rows"]
+        counts = pairwise_violations_oracle(d, r)
+        assert [row["pairwise_violations"] for row in rows] == counts, (d, r)
+        assert [row["pairwise_ok"] for row in rows] == [c == 0 for c in counts]
+    toy = SequenceSet(GrowthProfile.toy())
+    rows = toy.validate_hypotheses(200)["rows"]
+    d = [row["d"] for row in rows]
+    r = [row["r"] for row in rows]
+    assert [row["pairwise_violations"] for row in rows] == pairwise_violations_oracle(d, r)
 
 
 def test_preset_constant_five_fails_series():
