@@ -12,6 +12,7 @@ from .errors import (
     BudgetExceeded,
     DegreeTooLarge,
     DivisorTooSmall,
+    InvalidGenerators,
     NoAdmissibleResidue,
     ProfileTooSmall,
     SequenceConstructionError,
@@ -79,6 +80,7 @@ __all__ = [
     "BudgetExceeded",
     "DegreeTooLarge",
     "DivisorTooSmall",
+    "InvalidGenerators",
     "NoAdmissibleResidue",
     "ProfileTooSmall",
     "SequenceConstructionError",

@@ -42,6 +42,15 @@ class ProfileTooSmall(SequenceConstructionError):
     """
 
 
+class InvalidGenerators(BHNeumannError, ValueError):
+    """A degree and offsets that do not define the generator pair.
+
+    The degree must be an odd prime >= 5 and the offsets must keep the
+    three points of the 3-cycle distinct (perm.check_generators).  It is
+    also a ValueError, since the arguments are bad values.
+    """
+
+
 class DegreeTooLarge(BHNeumannError):
     """A coordinate's degree is past the largest dense table built."""
 

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import BudgetExceeded, SpreadAssertionFailed, WitnessCheckFailed
-from .perm import Permutation, make_generators
+from .perm import Permutation, check_generators
 from .seqgen import SequenceSet
 from .words import commutator as word_commutator
 from .words import conjugate as word_conjugate
@@ -56,8 +56,10 @@ __all__ = [
 class GroupContext:
     """Sequence data plus caches of letter tables and span cutoffs.
 
-    The table cache maps coordinate index m to an int32 array of shape
-    (4, d(m)) whose rows are the image tables of the letters a, A, b, B.
+    The table cache maps coordinate index m to a read-only int32 array of
+    shape (4, d(m)) whose rows are the image tables of the letters a, A,
+    b, B, built from (d(m), r(m)) alone: x + 1, x - 1 mod d, the 3-cycle
+    (0, r, 2r) and its inverse.  (d, r) must pass perm.check_generators.
     The one cutoff cache maps a span W to span_cutoff(ctx, W); cutoff(ctx,
     n) reads it at W = 2n.  Derived and preset tables never change at a
     known index, so no cache goes stale.  Contexts are immutable once
@@ -80,12 +82,11 @@ class GroupContext:
         if tabs is None:
             d = self.seqs.d_of(m)
             r = self.seqs.r_of(m)
-            alpha, beta = make_generators(d, r, r)
-            tabs = np.empty((4, d), dtype=np.int32)
-            tabs[0] = alpha.images
-            tabs[1] = np.argsort(alpha.images).astype(np.int32)
-            tabs[2] = beta.images
-            tabs[3] = np.argsort(beta.images).astype(np.int32)
+            check_generators(d, r, r)
+            x = np.arange(d, dtype=np.int32)
+            tabs = np.stack([np.roll(x, -1), np.roll(x, 1), x, x])
+            tabs[2, [0, r, 2 * r]] = r, 2 * r, 0
+            tabs[3, [0, r, 2 * r]] = 2 * r, 0, r
             tabs.setflags(write=False)
             self._tabs[m] = tabs
         return tabs

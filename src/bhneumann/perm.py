@@ -1,79 +1,71 @@
-"""Permutations of {0, ..., d-1} stored as int32 image arrays.
+"""Permutations of {0, ..., d-1} stored as tuples of images.
 
 Composition follows function application: (p * q)(x) = p(q(x)), so the
-array form is ``p.images[q.images]`` and q acts first.
+tuple form is ``tuple(map(p.__getitem__, q))`` and q acts first.
+``compose_images`` and ``inverse_images`` are the one composition and
+inversion rule of the package; the stabilizer chains in ``schreier`` use
+them on raw image tuples.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable
-
-import numpy as np
+from operator import index
+from typing import Iterable, Sequence
 
 from ._primes import is_prime
-from .errors import DegreeTooLarge
+from .errors import DegreeTooLarge, InvalidGenerators
 
-# Largest degree make_generators builds dense tables for: 16 MiB per int32 table.
+# Largest degree of a generator pair.  Past it a coordinate's four int32
+# letter rows (64 MiB) and each generator's image tuple (about 150 MiB of
+# Python ints) are too large to build.
 MAX_DEGREE = 1 << 22
 
 
 @dataclass(frozen=True)
 class Permutation:
-    images: np.ndarray = field(repr=False)
+    images: tuple[int, ...] = field(repr=False)
 
     def __post_init__(self):
-        img = np.asarray(self.images, dtype=np.int32)
-        if img.ndim != 1 or img.size == 0:
-            raise ValueError("images must be a nonempty 1-d array")
-        seen = np.zeros(img.size, dtype=bool)
-        if img.min() < 0 or img.max() >= img.size:
-            raise ValueError("images out of range")
-        seen[img] = True
-        if not seen.all():
-            raise ValueError("images do not form a bijection")
-        img.setflags(write=False)
+        img = tuple(map(index, self.images))
+        if not img or sorted(img) != list(range(len(img))):
+            raise ValueError("images must be a nonempty arrangement of 0..d-1")
         object.__setattr__(self, "images", img)
 
     @property
     def degree(self) -> int:
-        return int(self.images.size)
+        return len(self.images)
 
     def __call__(self, x: int) -> int:
-        return int(self.images[x])
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Permutation):
-            return NotImplemented
-        return self.degree == other.degree and bool(
-            (self.images == other.images).all()
-        )
-
-    def __hash__(self) -> int:
-        return hash(self.images.tobytes())
+        return self.images[x]
 
     def __repr__(self) -> str:
-        return f"Permutation({self.images.tolist()})"
+        return f"Permutation({list(self.images)})"
+
+
+def compose_images(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
+    """p * q on image sequences; q applies first."""
+    return tuple(map(p.__getitem__, q))
+
+
+def inverse_images(p: Sequence[int]) -> tuple[int, ...]:
+    return tuple(sorted(range(len(p)), key=p.__getitem__))
 
 
 def identity(d: int) -> Permutation:
-    if d < 1:
-        raise ValueError("degree must be positive")
-    return Permutation(np.arange(d, dtype=np.int32))
+    return Permutation(range(d))
 
 
 def compose(p: Permutation, q: Permutation) -> Permutation:
     """(p * q)(x) = p(q(x)); q applies first."""
     if p.degree != q.degree:
         raise ValueError("degrees differ")
-    return Permutation(p.images[q.images])
+    return Permutation(compose_images(p.images, q.images))
 
 
 def inverse(p: Permutation) -> Permutation:
-    inv = np.empty(p.degree, dtype=np.int32)
-    inv[p.images] = np.arange(p.degree, dtype=np.int32)
-    return Permutation(inv)
+    return Permutation(inverse_images(p.images))
 
 
 def power(p: Permutation, k: int) -> Permutation:
@@ -92,7 +84,7 @@ def power(p: Permutation, k: int) -> Permutation:
 
 def _cycle_lengths(p: Permutation) -> list[int]:
     img = p.images
-    seen = np.zeros(p.degree, dtype=bool)
+    seen = [False] * p.degree
     out = []
     for start in range(p.degree):
         if seen[start]:
@@ -101,7 +93,7 @@ def _cycle_lengths(p: Permutation) -> list[int]:
         x = start
         while not seen[x]:
             seen[x] = True
-            x = int(img[x])
+            x = img[x]
             length += 1
         out.append(length)
     return out
@@ -113,8 +105,7 @@ def order(p: Permutation) -> int:
 
 def support(p: Permutation) -> frozenset[int]:
     """Points moved by p."""
-    moved = np.nonzero(p.images != np.arange(p.degree, dtype=np.int32))[0]
-    return frozenset(int(x) for x in moved)
+    return frozenset(x for x, y in enumerate(p.images) if x != y)
 
 
 def is_even(p: Permutation) -> bool:
@@ -130,7 +121,7 @@ def cycle_from(points: Iterable[int], d: int) -> Permutation:
     pts = list(points)
     if len(set(pts)) != len(pts):
         raise ValueError("cycle points must be distinct")
-    img = np.arange(d, dtype=np.int32)
+    img = list(range(d))
     for i, x in enumerate(pts):
         if not 0 <= x < d:
             raise ValueError(f"point {x} out of range for degree {d}")
@@ -138,19 +129,26 @@ def cycle_from(points: Iterable[int], d: int) -> Permutation:
     return Permutation(img)
 
 
-def make_generators(d: int, r1: int, r2: int) -> tuple[Permutation, Permutation]:
-    """The full cycle x -> x+1 and the 3-cycle (0, r1, r1+r2) mod d.
+def check_generators(d: int, r1: int, r2: int) -> None:
+    """Refuse a degree and offsets that do not define the generator pair.
 
     Requires d an odd prime >= 5 and 1 <= r1, r2 with r1 + r2 <= d - 1,
-    so the three support points of the second generator are distinct.
-    Raises DegreeTooLarge past MAX_DEGREE points.
+    so the three points 0, r1, r1 + r2 of the 3-cycle are distinct, and
+    raises InvalidGenerators otherwise.  Raises DegreeTooLarge past
+    MAX_DEGREE points, before any primality test.
     """
     if d > MAX_DEGREE:
         raise DegreeTooLarge(f"degree {d} exceeds the dense table limit of {MAX_DEGREE} points")
     if d < 5 or d % 2 == 0 or not is_prime(d):
-        raise ValueError(f"degree {d} is not an odd prime >= 5")
+        raise InvalidGenerators(f"degree {d} is not an odd prime >= 5")
     if r1 < 1 or r2 < 1 or r1 + r2 > d - 1:
-        raise ValueError(f"offsets ({r1}, {r2}) invalid for degree {d}")
-    alpha = Permutation((np.arange(d, dtype=np.int64) + 1) % d)
-    beta = cycle_from([0, r1, r1 + r2], d)
-    return alpha, beta
+        raise InvalidGenerators(f"offsets ({r1}, {r2}) invalid for degree {d}")
+
+
+def make_generators(d: int, r1: int, r2: int) -> tuple[Permutation, Permutation]:
+    """The full cycle x -> x+1 and the 3-cycle (0, r1, r1+r2) mod d.
+
+    The arguments must pass check_generators.
+    """
+    check_generators(d, r1, r2)
+    return Permutation((*range(1, d), 0)), cycle_from([0, r1, r1 + r2], d)

@@ -1,13 +1,14 @@
 """Deterministic stabilizer chains for permutation groups.
 
-Permutations are tuples of images, and (p * q)(x) = p(q(x)) is
-``tuple(map(p.__getitem__, q))``.  The chain stores, per level, a base
-point, the generators attached so far, and a dict from each orbit point
-x to an inverse transversal element (one that sends x to the base
-point); the dict's insertion order is the orbit.  Generator attachment
-is cumulative: an element attached at level j fixes the base points of
-all earlier levels, so it also acts on their orbits and is attached to
-every level up to j.  Two facts carry the module:
+Permutations are the image tuples of ``perm.Permutation``, composed by
+``perm.compose_images`` ((p * q)(x) = p(q(x))) and inverted by
+``perm.inverse_images``.  The chain stores, per level, a base point, the
+generators attached so far, and a dict from each orbit point x to an
+inverse transversal element (one that sends x to the base point); the
+dict's insertion order is the orbit.  Generator attachment is
+cumulative: an element attached at level j fixes the base points of all
+earlier levels, so it also acts on their orbits and is attached to every
+level up to j.  Two facts carry the module:
 
 * The product of the orbit sizes never exceeds the group order, because
   distinct transversal words are distinct group elements.
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 import math
 
-from .perm import Permutation, is_even, make_generators
+from .perm import Permutation, compose_images, inverse_images, is_even, make_generators
 
 __all__ = [
     "StabilizerChain",
@@ -35,15 +36,6 @@ __all__ = [
     "contains",
     "verify_alt_generation",
 ]
-
-
-def _compose(p: tuple, q: tuple) -> tuple:
-    """p * q as image tuples; q applies first."""
-    return tuple(map(p.__getitem__, q))
-
-
-def _inverse(p: tuple) -> tuple:
-    return tuple(sorted(range(len(p)), key=p.__getitem__))
 
 
 class _Level:
@@ -75,7 +67,7 @@ class _Level:
                 for h in step:
                     y = h[x]
                     if y not in reps:
-                        reps[y] = _compose(reps[x], _inverse(h))
+                        reps[y] = compose_images(reps[x], inverse_images(h))
                         fresh.append(y)
             frontier, step = fresh, self.gens
 
@@ -103,7 +95,7 @@ class StabilizerChain:
             w = lv.inv_reps.get(x)
             if w is None:
                 return p, li
-            p = _compose(w, p)
+            p = compose_images(w, p)
         return (None if p == tuple(range(self.degree)) else p), len(self.levels)
 
     def _add_gen_at(self, li: int, p: tuple) -> None:
@@ -126,9 +118,9 @@ class StabilizerChain:
         """
         lv = self.levels[li]
         for x, w in lv.inv_reps.items():
-            u = _inverse(w)
+            u = inverse_images(w)
             for g in lv.gens:
-                schreier = _compose(lv.inv_reps[g[x]], _compose(g, u))
+                schreier = compose_images(lv.inv_reps[g[x]], compose_images(g, u))
                 residue, rl = self._sift(schreier, li + 1)
                 if residue is not None:
                     return residue, rl
@@ -175,7 +167,7 @@ def build_chain(
             raise ValueError("generators must share one degree")
     chain = StabilizerChain(degree)
     for g in generators:
-        chain._insert(tuple(g.images.tolist()))
+        chain._insert(g.images)
         if chain.order() == known_order:
             chain.complete = True
             return chain
@@ -194,7 +186,7 @@ def contains(chain: StabilizerChain, p: Permutation) -> bool:
         raise ValueError("membership needs a completed chain")
     if p.degree != chain.degree:
         raise ValueError("degree mismatch")
-    residue, _ = chain._sift(tuple(p.images.tolist()))
+    residue, _ = chain._sift(p.images)
     return residue is None
 
 
@@ -207,14 +199,14 @@ def _ladder_bound(alpha: Permutation, beta: Permutation, r: int) -> int:
     b_i with i < j, since the bound then does not hold.
     """
     d = alpha.degree
-    if alpha.images.tolist() != [*range(1, d), 0]:
+    if alpha.images != (*range(1, d), 0):
         return 0
     # r is a unit mod the prime d, so the b_j run through every point once
     base = [j * r % d for j in range(d)]
     pos = [0] * d
     for j, b in enumerate(base):
         pos[b] = j
-    arrows = [(x, y) for x, y in enumerate(beta.images.tolist()) if x != y]
+    arrows = [(x, y) for x, y in enumerate(beta.images) if x != y]
     parent = list(range(d))
     size = [1] * d
 
@@ -264,8 +256,9 @@ def verify_alt_generation(d: int, r1: int, r2: int) -> bool:
     one, in O(d) Python-level steps instead of O(d^3).
 
     If the product falls short, or r1 != r2, a stabilizer chain built up
-    to the known order d!/2 decides.  Raises ValueError when d is not an
-    odd prime >= 5 or the offsets do not fit.
+    to the known order d!/2 decides.  Raises InvalidGenerators (a
+    ValueError) when d is not an odd prime >= 5 or the offsets do not
+    fit.
     """
     alpha, beta = make_generators(d, r1, r2)
     if not (is_even(alpha) and is_even(beta)):

@@ -312,9 +312,15 @@ class SequenceSet:
         is still nontrivial when its lamp state is: on preset([7], [2]),
         b a^7 B A^7 is the identity at coordinate 1, yet its lamps at
         shifts 0 and 7 make it nontrivial.
+
+        A zero modulus raises ValueError: no residue class is taken
+        modulo 0.  Negative moduli are kept; they name the same classes as
+        their absolute values.
         """
         if len(d) != len(r):
             raise ValueError("d and r must have equal length")
+        if 0 in d:
+            raise ValueError("a preset modulus must be nonzero")
         obj = cls.__new__(cls)
         obj.profile = GrowthProfile(kind="table", table_values=(0.0,))
         obj._d = [int(x) for x in d]

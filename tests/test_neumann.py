@@ -11,9 +11,11 @@ from bhneumann import (
     DegreeTooLarge,
     GroupContext,
     GrowthProfile,
+    InvalidGenerators,
     Permutation,
     SequenceSet,
     SpreadAssertionFailed,
+    WitnessCheckFailed,
     _kernels,
     ball,
     commutator,
@@ -267,6 +269,14 @@ def test_letter_tables_cached_and_frozen(toy_ctx):
     d = tabs.shape[1]
     assert np.array_equal(tabs[0][tabs[1]], np.arange(d))
     assert np.array_equal(tabs[2][tabs[3]], np.arange(d))
+    # rows a, A, b, B are the generator images and their inverses
+    builtin = GroupContext(SequenceSet(GrowthProfile.builtin()))
+    for ctx, m in [(toy_ctx, m) for m in range(1, 6)] + [(builtin, 7)]:
+        tabs = ctx.letter_tables(m)
+        alpha, beta = make_generators(ctx.degree(m), ctx.offset(m), ctx.offset(m))
+        assert tabs.dtype == np.int32 and not tabs.flags.writeable
+        want = [alpha.images, inverse(alpha).images, beta.images, inverse(beta).images]
+        assert tabs.tolist() == [list(row) for row in want]
 
 
 def test_reconstruction_oracle_at_spread_coords(toy_ctx):
@@ -443,6 +453,28 @@ def test_bprime_witness_word_raises_degree_too_large():
     with pytest.raises(DegreeTooLarge):
         witness(ctx, 1)
     assert ctx._tabs == {}
+
+
+def test_word_problem_refuses_presets_outside_the_generator_precondition():
+    # d = 9 is not prime; r = 0 puts the 3-cycle's points together
+    for d, r in (([9], [2]), ([101], [0])):
+        ctx = GroupContext(SequenceSet.preset(d, r))
+        calls = [
+            lambda: is_trivial(ctx, "BaaBAAbaabAA"),
+            lambda: equal(ctx, "BaaBAA", "aaBAAB"),
+            lambda: signature(ctx, "ab", 2),
+        ]
+        if r == [2]:
+            calls.append(lambda: witness(ctx, 1))
+        for call in calls:
+            with pytest.raises(InvalidGenerators) as exc:
+                call()
+            assert isinstance(exc.value, BHNeumannError)
+            assert isinstance(exc.value, ValueError)
+        assert ctx._tabs == {}
+    # r = 0 makes the witness word collapse before any coordinate is read
+    with pytest.raises(WitnessCheckFailed):
+        witness(GroupContext(SequenceSet.preset([101], [0])), 1)
 
 
 def test_equal(toy_ctx):

@@ -151,5 +151,5 @@ def test_validation_errors():
 
 def test_images_are_frozen():
     p = P.identity(5)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         p.images[0] = 3

@@ -10,10 +10,10 @@ from bhneumann import perm as P
 from bhneumann import schreier as S
 
 
-def bfs_closure(gens: list[P.Permutation], cap: int = 50_000) -> set[bytes]:
-    """Image bytes of every group element, by breadth-first closure."""
+def bfs_closure(gens: list[P.Permutation], cap: int = 50_000) -> set[tuple[int, ...]]:
+    """Image tuples of every group element, by breadth-first closure."""
     d = gens[0].degree
-    start = P.identity(d).images.tobytes()
+    start = P.identity(d).images
     seen = {start}
     frontier = [P.identity(d)]
     while frontier:
@@ -21,7 +21,7 @@ def bfs_closure(gens: list[P.Permutation], cap: int = 50_000) -> set[bytes]:
         for p in frontier:
             for g in gens:
                 q = P.compose(p, g)
-                key = q.images.tobytes()
+                key = q.images
                 if key not in seen:
                     seen.add(key)
                     nxt.append(q)
@@ -42,7 +42,7 @@ def assert_membership_matches_closure(chain: S.StabilizerChain, gens) -> None:
     d = gens[0].degree
     for images in itertools.permutations(range(d)):
         p = P.Permutation(np.array(images, dtype=np.int32))
-        assert S.contains(chain, p) == (p.images.tobytes() in closure), images
+        assert S.contains(chain, p) == (p.images in closure), images
 
 
 def test_trivial_group():

@@ -574,6 +574,12 @@ def test_validate_pairwise_matches_loop_on_random_presets():
     assert [row["pairwise_violations"] for row in rows] == pairwise_violations_oracle(d, r)
 
 
+def test_preset_refuses_zero_modulus():
+    for d in ([0], [7, 0, 11]):
+        with pytest.raises(ValueError, match="nonzero"):
+            SequenceSet.preset(d, [1] * len(d))
+
+
 def test_preset_constant_five_fails_series():
     seqs = SequenceSet.preset(d=[5, 5, 5, 5], r=[2, 2, 2, 2])
     report = seqs.validate_hypotheses(4)
