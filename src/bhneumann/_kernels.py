@@ -11,11 +11,19 @@ a letter to a word with normal form (s, sigma):
   conjugated by rho^s; B composes with its inverse.  This touches at
   most 3 points of sigma.
 
-The cost per letter does not depend on d; only ``image`` builds a dense
-table.  s = 0 (mod d) with sigma empty implies P is the identity.  The
+The cost per letter does not depend on d.  Only ``image`` builds a
+dense table, an ``array('i')`` made without numpy; signature digests,
+``neumann.coordinate_eval`` and the rare dense case of
+``canonical_form`` ask for one.  s = 0 (mod d) with sigma empty implies P is the identity.  The
 converse holds for a zero a-exponent sum or under spread (sigma moves
 fewer than d points), but not in general: at (d, r) = (5, 2), aBaB has
-s = 2 and sigma = rho^-2, so P is the identity.
+s = 2 and sigma = rho^-2, so P is the identity.  ``canonical_form``
+picks the one (s, sigma) of each P, so equal images have equal forms.
+
+A word's *b-skeleton* is the shift and letter code of each b or B it
+reads, plus its final shift.  ``skeleton_form`` applies only the
+skeleton's 3-cycles, so one reading of the word serves every
+coordinate at O(number of b letters) each.
 
 Shared conventions:
 
@@ -40,7 +48,13 @@ Shared conventions:
 
 from __future__ import annotations
 
+from array import array
+from collections import Counter
+
 import numpy as np
+
+from .errors import DegreeTooLarge
+from .perm import MAX_DEGREE
 
 # perfbench/run.py records these two names, and --compare matches runs on
 # the backend; there is one implementation, in plain Python and numpy.
@@ -112,9 +126,73 @@ def eval_word(tabs: np.ndarray, codes) -> tuple[int, dict]:
     return s % d, sigma
 
 
-def image(d: int, s: int, sigma: dict) -> np.ndarray:
-    """Dense int32 table x -> sigma(x + s) of a normal form on d points."""
-    images = np.arange(s, s + d, dtype=np.int32) % d
+def skeleton(word: str) -> tuple[list[tuple[int, int]], int]:
+    """The word's b-skeleton: (shift, code) per b (2) or B (3), and the final shift."""
+    s = 0
+    pairs = []
+    for ch in word:
+        if ch == "a":
+            s += 1
+        elif ch == "A":
+            s -= 1
+        else:
+            pairs.append((s, 2 if ch == "b" else 3))
+    return pairs, s
+
+
+def skeleton_form(skeleton, shift: int, r: int, d: int) -> tuple[int, dict]:
+    """Normal form (s mod d, sigma) of a word from its b-skeleton.
+
+    skeleton and shift are what ``skeleton`` returns.
+    """
+    sigma: dict[int, int] = {}
+    for t, c in skeleton:
+        _append_b(sigma, None, t, r, d, c)
+    return shift % d, sigma
+
+
+def canonical_form(d: int, s: int, sigma: dict) -> tuple[int, dict]:
+    """The one normal form of the image x -> sigma(x + s) on d points.
+
+    Its shift is the most common value of P(x) - x mod d, the least one
+    on a tie, and sigma is P o rho^-shift.  When sigma moves fewer than
+    d/2 points, s itself is the strict majority and (s, sigma) is
+    returned as given; otherwise the dense image decides.
+    """
+    if 2 * len(sigma) < d:
+        return s, sigma
+    images = image(d, s, sigma)
+    counts = Counter((y - x) % d for x, y in enumerate(images))
+    s = min(counts, key=lambda k: (-counts[k], k))
+    moved = ((y, images[(y - s) % d]) for y in range(d))
+    return s, {y: v for y, v in moved if y != v}
+
+
+# Doubled identity rows x -> x mod d on 2d points, keyed by d.  The cache
+# is module-wide and bounded: past _BASE_POINTS points in total it is
+# emptied before the next row is added.
+_bases: dict[int, array] = {}
+_BASE_POINTS = 1 << 24
+
+
+def image(d: int, s: int, sigma: dict) -> array:
+    """Dense int32 table x -> sigma(x + s) of a normal form on d points.
+
+    The one dense builder: the table is cut from a doubled identity row
+    kept in a bounded module-wide cache (_bases, at most 2^24 points in
+    all, 64 MiB) and patched at the points sigma moves.  s is reduced
+    mod d first.  Past perm.MAX_DEGREE points it raises
+    DegreeTooLarge before allocating anything.
+    """
+    if d > MAX_DEGREE:
+        raise DegreeTooLarge(f"degree {d} exceeds the dense table limit of {MAX_DEGREE} points")
+    base = _bases.get(d)
+    if base is None:
+        if sum(map(len, _bases.values())) + 2 * d > _BASE_POINTS:
+            _bases.clear()
+        base = _bases[d] = array("i", range(d)) * 2
+    s %= d
+    images = base[s : s + d]
     for y, v in sigma.items():
         images[(y - s) % d] = v
     return images

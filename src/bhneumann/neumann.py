@@ -54,12 +54,14 @@ __all__ = [
 
 
 class GroupContext:
-    """Sequence data plus caches of letter tables and span cutoffs.
+    """Sequence data plus caches of letter tables, checked (d, r) and span cutoffs.
 
     The table cache maps coordinate index m to a read-only int32 array of
     shape (4, d(m)) whose rows are the image tables of the letters a, A,
     b, B, built from (d(m), r(m)) alone: x + 1, x - 1 mod d, the 3-cycle
     (0, r, 2r) and its inverse.  (d, r) must pass perm.check_generators.
+    generator_pairs keeps the checked (d(m), r(m)) of coordinates 1, 2,
+    ... as a list that only grows.
     The one cutoff cache maps a span W to span_cutoff(ctx, W); cutoff(ctx,
     n) reads it at W = 2n.  Derived and preset tables never change at a
     known index, so no cache goes stale.  Contexts are immutable once
@@ -69,6 +71,7 @@ class GroupContext:
     def __init__(self, seqs: SequenceSet):
         self.seqs = seqs
         self._tabs: dict[int, np.ndarray] = {}
+        self._pairs: list[tuple[int, int]] = []
         self._spans: dict[int, int] = {}
 
     def degree(self, m: int) -> int:
@@ -91,30 +94,51 @@ class GroupContext:
             self._tabs[m] = tabs
         return tabs
 
+    def generator_pairs(self, m0: int) -> list[tuple[int, int]]:
+        """(d(m), r(m)) for m = 1..m0, each passed through check_generators once."""
+        pairs = self._pairs
+        while len(pairs) < m0:
+            m = len(pairs) + 1
+            d, r = self.seqs.d_of(m), self.seqs.r_of(m)
+            check_generators(d, r, r)
+            pairs.append((d, r))
+        return pairs[:m0]
+
 
 @dataclass(frozen=True)
 class ElementSignature:
     """Faithful finite fingerprint of a word within one length class.
 
-    Holds the int32 image bytes at every coordinate up to cutoff(2 *
-    n_class) = span_cutoff(4 * n_class) plus the lamp-state evaluation.
-    Words u, v of length <= n_class are equal in the group iff their
-    signatures compare (and so hash) equal by value: u v^-1 reads b at
-    shifts less than 2 * n_class apart, so past cutoff(n_class), and
-    hence past the stored range, the lamp state decides; the stored
-    data covers everything else.  The range is twice what equality
-    needs; it stays, since it fixes the signature bytes and digests.
+    Holds, at every coordinate m up to cutoff(2 * n_class) =
+    span_cutoff(4 * n_class), the canonical sparse normal form of the
+    word's image, (d(m), s, sigma items sorted by point) (see
+    _kernels.canonical_form), plus the lamp-state evaluation.  Equal
+    images have equal forms.  Comparing and hashing cost O(number of b
+    letters) per coordinate, and no dense table is built.  Words u, v
+    of length <= n_class are equal in the group iff their signatures
+    compare (and so hash) equal by value: u v^-1 reads b at shifts less
+    than 2 * n_class apart, so past cutoff(n_class), and hence past the
+    stored range, the lamp state decides; the stored data covers
+    everything else.  The range is twice what equality needs; it stays,
+    since it fixes the signature bytes and digests.
+
+    canonical_bytes builds each coordinate's int32 image with
+    _kernels.image only when asked, in the same layout as when the
+    signature held those bytes: n_class and the number of coordinates,
+    then per coordinate d and the d int32 images in native byte order
+    (little-endian on the hosts the pinned digests come from), then the
+    lamp state.
     """
 
-    low_coords: tuple[bytes, ...]
+    low_coords: tuple[tuple[int, int, tuple[tuple[int, int], ...]], ...]
     wreath: WreathElement
     n_class: int
 
     def canonical_bytes(self) -> bytes:
         parts = [self.n_class.to_bytes(4, "big"), len(self.low_coords).to_bytes(4, "big")]
-        for images in self.low_coords:
-            parts.append((len(images) // 4).to_bytes(4, "big"))
-            parts.append(images)
+        for d, s, items in self.low_coords:
+            parts.append(d.to_bytes(4, "big"))
+            parts.append(_kernels.image(d, s, dict(items)).tobytes())
         parts.append(self.wreath.shift.to_bytes(8, "big", signed=True))
         for pos, val in self.wreath.lamps:
             parts.append(pos.to_bytes(8, "big", signed=True))
@@ -253,19 +277,26 @@ def equal(ctx: GroupContext, u: str, v: str) -> bool:
 
 
 def signature(ctx: GroupContext, word: str, n_class: int) -> ElementSignature:
-    """Fingerprint of a word of length <= n_class; see ElementSignature."""
+    """Fingerprint of a word of length <= n_class; see ElementSignature.
+
+    Reads the reduced word once into its b-skeleton, then at each
+    coordinate up to cutoff(2 * n_class) applies only the skeleton's
+    3-cycles (_kernels.skeleton_form) and keeps the canonical form.
+    Every coordinate's (d, r) passes check_generators first
+    (GroupContext.generator_pairs), so a preset outside the precondition
+    raises InvalidGenerators or DegreeTooLarge.
+    """
     w = free_reduce(word)
     if len(w) > n_class:
         raise ValueError(
             f"word of reduced length {len(w)} exceeds the class bound {n_class}"
         )
-    m0 = cutoff(ctx, 2 * n_class)
-    codes = to_codes(w)
-    coords = tuple(
-        _kernels.image(ctx.degree(m), *_kernels.eval_word(ctx.letter_tables(m), codes)).tobytes()
-        for m in range(1, m0 + 1)
-    )
-    return ElementSignature(coords, w_eval(w), n_class)
+    skeleton, shift = _kernels.skeleton(w)
+    coords = []
+    for d, r in ctx.generator_pairs(cutoff(ctx, 2 * n_class)):
+        s, sigma = _kernels.canonical_form(d, *_kernels.skeleton_form(skeleton, shift, r, d))
+        coords.append((d, s, tuple(sorted(sigma.items()))))
+    return ElementSignature(tuple(coords), w_eval(w), n_class)
 
 
 def _witness_word(r: int) -> str:
@@ -315,9 +346,12 @@ def ball(
 ) -> list[tuple[str, ElementSignature]]:
     """Representatives of the distinct group elements of word length <= n.
 
-    Enumerates reduced words in shortlex order and deduplicates by
-    signature, so each element keeps its shortlex-least representative.
-    Signatures hash and compare by value, so a dict keyed on them is exact.
+    Enumerates reduced words in shortlex order and calls signature once
+    per candidate (through the module name, so a wrapped signature sees
+    every call); a dict keyed on the signatures keeps each element's
+    shortlex-least representative.  Signatures hash and compare their
+    sparse normal forms by value, so the dict is exact and builds no
+    dense table; digests build image bytes only when asked.
     """
     candidates = 2 * (3**n - 1) + 1 if n >= 1 else 1
     if candidates > budget:

@@ -1,10 +1,11 @@
 """Sparse coordinate kernels against dense table composition."""
 
 import numpy as np
+import pytest
 
 import bhneumann._kernels as K
-from bhneumann import enumerate_reduced, inverse, make_generators, random_reduced
-from bhneumann.perm import compose, identity
+from bhneumann import DegreeTooLarge, enumerate_reduced, inverse, make_generators, random_reduced
+from bhneumann.perm import MAX_DEGREE, compose, identity
 from bhneumann.words import to_codes
 from test_neumann import dense_trivial_bitmap
 
@@ -101,6 +102,44 @@ def test_normal_form_contract():
             assert np.array_equal(K.image(d, s, sigma), cur.images)
             if not s and not sigma:
                 assert cur == identity(d)
+
+
+def test_image_reduces_the_shift():
+    for d, r in ((5, 2), (13, 4)):
+        tabs = tabs_of(d, r)
+        for w in enumerate_reduced(4):
+            s, sigma = K.eval_word(tabs, to_codes(w))
+            want = list(dense_image(d, r, w).images)
+            for k in (-3, -1, 1, 4):
+                assert list(K.image(d, s + k * d, sigma)) == want, (w, k)
+
+
+def test_image_refuses_past_max_degree():
+    before = dict(K._bases)
+    with pytest.raises(DegreeTooLarge):
+        K.image(MAX_DEGREE + 1, 0, {})
+    assert K._bases == before
+
+
+def test_skeleton_form_matches_eval_word():
+    for d, r, length in ((97, 3, 30), (13, 2, 200), (13, 4, 200)):
+        tabs = tabs_of(d, r)
+        for seed in range(8):
+            w = random_reduced(length, seed)
+            assert K.skeleton_form(*K.skeleton(w), r, d) == K.eval_word(tabs, to_codes(w))
+
+
+def test_canonical_form_is_one_per_image():
+    for d, r in ((5, 2), (7, 3), (11, 2)):
+        tabs = tabs_of(d, r)
+        forms = {}
+        for w in enumerate_reduced(5):
+            s, sigma = K.canonical_form(d, *K.eval_word(tabs, to_codes(w)))
+            assert 0 <= s < d
+            assert list(K.image(d, s, sigma)) == list(dense_image(d, r, w).images)
+            forms.setdefault(dense_image(d, r, w).images, set()).add((s, tuple(sorted(sigma.items()))))
+        assert all(len(f) == 1 for f in forms.values())
+    assert K.canonical_form(5, *K.eval_word(tabs_of(5, 2), to_codes("aBaB"))) == (0, {})
 
 
 def test_check_random_words_counts_every_word():

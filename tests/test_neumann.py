@@ -1,10 +1,12 @@
 """Word problem, cutoff, witnesses and balls against brute-force oracles."""
 
 import random
+import struct
 
 import numpy as np
 import pytest
 
+import bhneumann.neumann as neumann
 from bhneumann import (
     BHNeumannError,
     BudgetExceeded,
@@ -535,6 +537,64 @@ def test_signature_digest_distinguishes(toy_ctx):
     assert signature(toy_ctx, "bbb", 3).digest() == signature(toy_ctx, "", 3).digest()
 
 
+def reference_signature(ctx: GroupContext, word: str, n_class: int):
+    """Canonical bytes and per-coordinate images of a signature, by perm.compose.
+
+    The layout is fixed: n_class and the number of coordinates, then per
+    coordinate d and the d images as little-endian int32, then the lamp
+    state.
+    """
+    w = free_reduce(word)
+    m0 = cutoff(ctx, 2 * n_class)
+    parts = [n_class.to_bytes(4, "big"), m0.to_bytes(4, "big")]
+    images = []
+    for m in range(1, m0 + 1):
+        d, r = ctx.degree(m), ctx.offset(m)
+        alpha, beta = make_generators(d, r, r)
+        gens = {"a": alpha, "A": inverse(alpha), "b": beta, "B": inverse(beta)}
+        p = identity(d)
+        for ch in w:
+            p = compose(p, gens[ch])
+        images.append(p.images)
+        parts.append(d.to_bytes(4, "big"))
+        parts.append(struct.pack(f"<{d}i", *p.images))
+    lamps = w_eval(w)
+    parts.append(lamps.shift.to_bytes(8, "big", signed=True))
+    for pos, val in lamps.lamps:
+        parts.append(pos.to_bytes(8, "big", signed=True))
+        parts.append(val.to_bytes(1, "big"))
+    return b"".join(parts), images
+
+
+@pytest.mark.parametrize("which", ["toy", "builtin", "preset_a", "preset_b"])
+def test_signature_bytes_match_dense_composition(which, toy_ctx):
+    # both presets break r(m) > m; (5, 2) and (7, 2) make one or two
+    # 3-cycles move half the points, so the normal form goes dense there
+    ctx = {
+        "toy": toy_ctx,
+        "builtin": GroupContext(SequenceSet(GrowthProfile.builtin())),
+        "preset_a": GroupContext(SequenceSet.preset([5, 7], [1, 2])),
+        "preset_b": GroupContext(SequenceSet.preset([5, 11, 13], [2, 1, 3])),
+    }[which]
+    words = list(enumerate_reduced(3))
+    sigs = [signature(ctx, w, 3) for w in words]
+    refs = [reference_signature(ctx, w, 3) for w in words]
+    for w, sig, (want, _) in zip(words, sigs, refs):
+        assert sig.canonical_bytes() == want, w
+    # the stored normal forms are equal exactly where the images are
+    for i in range(len(words)):
+        for j in range(i + 1, len(words)):
+            same = refs[i][1] == refs[j][1]
+            assert (sigs[i].low_coords == sigs[j].low_coords) == same, (words[i], words[j])
+
+
+def test_signature_normal_form_is_canonical():
+    # at (5, 2), aBaB has s = 2 and sigma = rho^-2, yet its image is trivial
+    ctx = GroupContext(SequenceSet.preset([5], [2]))
+    assert signature(ctx, "aBaB", 4).low_coords == signature(ctx, "", 4).low_coords == ((5, 0, ()),)
+    assert signature(ctx, "aBaB", 4) != signature(ctx, "", 4)  # the lamp states differ
+
+
 # --- witnesses ---------------------------------------------------------------
 
 def test_witness_defining_properties(toy_ctx):
@@ -582,6 +642,20 @@ def test_ball_matches_pairwise_oracle(toy_ctx):
             if not any(equal(toy_ctx, w, rep) for rep in reps):
                 reps.append(w)
         assert got == reps
+
+
+def test_ball_calls_signature_once_per_candidate(toy_ctx, monkeypatch):
+    calls = []
+    real = neumann.signature
+
+    def counted(ctx, word, n_class):
+        calls.append(word)
+        return real(ctx, word, n_class)
+
+    monkeypatch.setattr(neumann, "signature", counted)
+    assert len(ball(toy_ctx, 3)) == 41
+    assert calls == list(enumerate_reduced(3))
+    assert len(calls) == 2 * (3**3 - 1) + 1 == 53
 
 
 def test_ball_budget(toy_ctx):
