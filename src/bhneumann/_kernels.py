@@ -30,7 +30,10 @@ Shared conventions:
 * ``tabs`` is the (4, d) letter table array of a coordinate (rows a, A,
   b, B); the kernels read only d = ``tabs.shape[1]`` and, in
   ``eval_word``, r = ``tabs[2, 0]``.  Letter codes are a=0, A=1, b=2,
-  B=3, so ``code ^ 1`` is the inverse letter.
+  B=3, so ``code ^ 1`` is the inverse letter.  A word's codes are a
+  list of Python ints (``words.to_codes``), walked as given, so shifts
+  are unbounded ints; only ``check_random_words`` takes a 2-D array
+  batch, which it turns into lists once.
 * Words act right to left: the image of l1 l2 ... ln is l1 o ... o ln.
 * Lamp state mirrors the two-generator evaluation on the integer line:
   letter a shifts by +1, A by -1, b adds 1 (mod 3) to the lamp at the
@@ -74,15 +77,26 @@ def _append_b(sigma: dict, lamps: dict | None, s: int, r: int, d: int, c: int) -
     reversed for B; the lamp at s, if lamps is given, turns by c - 1.
     """
     x = s % d
-    y = (s + r) % d
-    z = (s + 2 * r) % d
+    y = (x + r) % d
+    z = (y + r) % d
     if c == 3:
         y, z = z, y
-    for p, v in ((x, sigma.get(y, y)), (y, sigma.get(z, z)), (z, sigma.get(x, x))):
-        if p == v:
-            sigma.pop(p, None)
-        else:
-            sigma[p] = v
+    # all three reads see sigma as it was before this letter
+    vx = sigma.get(y, y)
+    vy = sigma.get(z, z)
+    vz = sigma.get(x, x)
+    if vx == x:
+        sigma.pop(x, None)
+    else:
+        sigma[x] = vx
+    if vy == y:
+        sigma.pop(y, None)
+    else:
+        sigma[y] = vy
+    if vz == z:
+        sigma.pop(z, None)
+    else:
+        sigma[z] = vz
     if lamps is not None:
         v = (lamps.get(s, 0) + c - 1) % 3
         if v:
@@ -119,10 +133,14 @@ def _fails(s: int, sigma: dict, lamps: dict, r: int, d: int) -> bool:
     return sigma != overlay
 
 
-def eval_word(tabs: np.ndarray, codes) -> tuple[int, dict]:
-    """Normal form (s mod d, sigma) of the word given by letter codes."""
+def eval_word(tabs: np.ndarray, codes: list[int]) -> tuple[int, dict]:
+    """Normal form (s mod d, sigma) of the word given by letter codes.
+
+    codes is a list of Python ints (``words.to_codes``); it is walked as
+    given, so the running shift is an unbounded int.
+    """
     d = tabs.shape[1]
-    s, sigma = _walk(np.asarray(codes).tolist(), int(tabs[2, 0]), d)
+    s, sigma = _walk(codes, int(tabs[2, 0]), d)
     return s % d, sigma
 
 

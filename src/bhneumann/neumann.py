@@ -214,25 +214,38 @@ def _scan_span(ctx: GroupContext, span: int) -> int:
     return m0
 
 
-def _b_span(word: str) -> int:
-    """max - min of the shifts at which the word reads b or B; 0 if none."""
+def _read(w: str) -> tuple[bool, int, list[int]]:
+    """One pass over a reduced word: (lamp state trivial, b-span, letter codes).
+
+    The lamp state is trivial when the shift ends at 0 and every lamp
+    is 0 mod 3.  The b-span is max - min of the shifts at which the word
+    reads b or B, 0 if it reads none; it depends on the word as written,
+    so callers pass the reduced word.  The codes are words.to_codes(w).
+    """
     s = 0
-    lo = hi = None
-    for ch in word:
+    lamps: dict[int, int] = {}
+    codes: list[int] = []
+    append = codes.append
+    for ch in w:
         if ch == "a":
             s += 1
+            append(0)
         elif ch == "A":
             s -= 1
-        elif lo is None:
-            lo = hi = s
-        elif s < lo:
-            lo = s
-        elif s > hi:
-            hi = s
-    return 0 if lo is None else hi - lo
+            append(1)
+        elif ch == "b":
+            lamps[s] = lamps.get(s, 0) + 1
+            append(2)
+        else:
+            lamps[s] = lamps.get(s, 0) - 1
+            append(3)
+    if not lamps:
+        return not s, 0, codes
+    trivial = not s and not any(v % 3 for v in lamps.values())
+    return trivial, max(lamps) - min(lamps), codes
 
 
-def _identity_at(ctx: GroupContext, codes: np.ndarray, m: int) -> bool:
+def _identity_at(ctx: GroupContext, codes: list[int], m: int) -> bool:
     """Whether the word is the identity at m; exact only for a-exponent sum 0."""
     s, sigma = _kernels.eval_word(ctx.letter_tables(m), codes)
     return not s and not sigma
@@ -261,11 +274,10 @@ def is_trivial(ctx: GroupContext, word: str) -> bool:
     w = free_reduce(word)
     if not w:
         return True
-    if not w_eval(w).is_identity():
+    lamps_trivial, span, codes = _read(w)
+    if not lamps_trivial:
         return False
-    m0 = span_cutoff(ctx, _b_span(w))
-    codes = to_codes(w)
-    for m in range(1, m0 + 1):
+    for m in range(1, span_cutoff(ctx, span) + 1):
         if not _identity_at(ctx, codes, m):
             return False
     return True
@@ -324,14 +336,14 @@ def witness(ctx: GroupContext, m: int) -> str:
     w = _witness_word(R)
     if len(w) != 4 + 4 * R:
         raise WitnessCheckFailed(f"witness({m}) reduced to length {len(w)}")
-    if not w_eval(w).is_identity():
+    lamps_trivial, _, codes = _read(w)
+    if not lamps_trivial:
         raise WitnessCheckFailed(f"witness({m}) has nontrivial lamp state")
     m0 = span_cutoff(ctx, R)
     if m > m0:
         raise WitnessCheckFailed(
             f"witness({m}) has span cutoff {m0} below m"
         )
-    codes = to_codes(w)
     for k in range(1, m0 + 1):
         triv = _identity_at(ctx, codes, k)
         if k == m and triv:

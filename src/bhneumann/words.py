@@ -1,22 +1,24 @@
 """Free words on two generators.
 
 Words are plain strings over the alphabet ``a A b B`` where the upper
-case letter is the inverse of the lower case one.  The array kernels use
-integer letter codes a=0, A=1, b=2, B=3, chosen so that ``code ^ 1`` is
-the code of the inverse letter.
+case letter is the inverse of the lower case one.  The coordinate
+kernels read words as lists of integer letter codes a=0, A=1, b=2, B=3,
+chosen so that ``code ^ 1`` is the code of the inverse letter.
 """
 
 from __future__ import annotations
 
 from typing import Iterator
 
-import numpy as np
-
 ALPHABET = "aAbB"
 CODE_OF = {c: i for i, c in enumerate(ALPHABET)}
 INVERSE_OF = {"a": "A", "A": "a", "b": "B", "B": "b"}
 
 _MASK64 = (1 << 64) - 1
+
+# The three letters that may follow each letter in a reduced word, in
+# alphabet order.
+_SUCCESSORS = {c: "".join(x for x in ALPHABET if x != INVERSE_OF[c]) for c in ALPHABET}
 
 
 def _check_letters(word: str) -> None:
@@ -125,20 +127,22 @@ def random_reduced(length: int, seed: int) -> str:
     """
     if length < 0:
         raise ValueError("length must be nonnegative")
-    if length == 0:
-        return ""
+    # splitmix64 inlined: the same stream as repeated splitmix64 calls
     state = seed & _MASK64
-    state, z = splitmix64(state)
-    out = [ALPHABET[z % 4]]
-    for _ in range(length - 1):
-        state, z = splitmix64(state)
-        blocked = INVERSE_OF[out[-1]]
-        choices = [c for c in ALPHABET if c != blocked]
-        out.append(choices[z % 3])
+    out = []
+    choices = ALPHABET
+    for _ in range(length):
+        state = (state + 0x9E3779B97F4A7C15) & _MASK64
+        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        z ^= z >> 31
+        ch = choices[z % len(choices)]
+        out.append(ch)
+        choices = _SUCCESSORS[ch]
     return "".join(out)
 
 
-def to_codes(word: str) -> np.ndarray:
-    """Letter codes as an int8 array (a=0, A=1, b=2, B=3)."""
+def to_codes(word: str) -> list[int]:
+    """Letter codes as a list of ints (a=0, A=1, b=2, B=3)."""
     _check_letters(word)
-    return np.fromiter((CODE_OF[c] for c in word), dtype=np.int8, count=len(word))
+    return [CODE_OF[c] for c in word]

@@ -86,6 +86,18 @@ def test_eval_word_matches_permutation_composition():
         assert max_shift >= d or d > length
 
 
+def test_eval_word_shift_past_int8_range():
+    # the running shift reaches 200 and the codes are plain ints: an int8
+    # code would wrap the shift at 127
+    d, r = 257, 5
+    w = "a" * 200 + "b" + "A" * 150 + "B"
+    codes = to_codes(w)
+    assert all(type(c) is int for c in codes)
+    s, sigma = K.eval_word(tabs_of(d, r), codes)
+    assert s == 50
+    assert list(K.image(d, s, sigma)) == list(dense_image(d, r, w).images)
+
+
 def test_normal_form_contract():
     # s = 0 (mod d) with sigma empty implies the identity, not conversely:
     # at (5, 2), aBaB has s = 2 and sigma = rho^-2, yet its image is trivial

@@ -44,6 +44,7 @@ from bhneumann import (
     witness,
 )
 from bhneumann.perm import MAX_DEGREE
+from bhneumann.words import to_codes
 
 
 def dense_trivial_bitmap(tabs: np.ndarray, depth: int) -> np.ndarray:
@@ -181,14 +182,14 @@ def test_negative_arguments_raise(toy_ctx):
 
 
 def b_shift_span(word: str) -> int:
-    """max - min of the shifts at which the word reads b or B."""
+    """max - min of the shifts at which the word reads b or B; 0 if none."""
     shifts, s = [], 0
     for ch in word:
         if ch in "aA":
             s += 1 if ch == "a" else -1
         else:
             shifts.append(s)
-    return max(shifts) - min(shifts)
+    return max(shifts, default=0) - min(shifts, default=0)
 
 
 def test_span_cutoff_toy_values(toy_ctx):
@@ -401,6 +402,52 @@ def test_is_trivial_matches_dense_compose_on_random_presets():
     assert skipped >= 25  # trivial words decided without their top coordinates
 
 
+def reader_words(rng: random.Random, rounds: int):
+    """Seeded words for the reader: reduced, unreduced, b-free, only b/B, lamp-trivial."""
+    for _ in range(rounds):
+        n = rng.randint(0, 40)
+        yield random_reduced(n, rng.randrange(2**32))
+        yield "".join(rng.choice("aAbB") for _ in range(n))
+        yield "".join(rng.choice("aA") for _ in range(n))
+        yield "".join(rng.choice("bB") for _ in range(n))
+        w = lamp_trivial_word(rng)
+        k = rng.randint(0, len(w))
+        yield w[:k] + rng.choice(("aA", "Bb", "bbbAa")) + w[k:]  # unreduced, same element
+
+
+def test_reader_matches_lamp_state_span_and_codes():
+    seen = {"trivial": 0, "nontrivial": 0, "unreduced": 0, "no_b": 0, "only_b": 0}
+    for word in reader_words(random.Random(21), 60):
+        w = free_reduce(word)
+        trivial = w_eval(word).is_identity()
+        assert neumann._read(w) == (trivial, b_shift_span(w), to_codes(w)), word
+        seen["trivial" if trivial else "nontrivial"] += 1
+        seen["unreduced"] += w != word
+        seen["no_b"] += bool(w) and "b" not in w.lower()
+        seen["only_b"] += bool(w) and "a" not in w.lower()
+    assert min(seen.values()) >= 40, seen
+
+
+def test_is_trivial_matches_dense_compose_on_toy_and_short_presets(toy_ctx):
+    words = [w for w in reader_words(random.Random(22), 150) if len(w) <= 24]
+    # on toy, span_cutoff(W) <= W < 25 for these words: coordinates 1..25 decide
+    toy_head = SequenceSet.preset(
+        [toy_ctx.degree(m) for m in range(1, 26)], [toy_ctx.offset(m) for m in range(1, 26)]
+    )
+    short_a = SequenceSet.preset([11, 13], [2, 3])
+    short_b = SequenceSet.preset([7, 17, 19], [3, 2, 5])
+    for ctx, seqs in ((toy_ctx, toy_head), (GroupContext(short_a), short_a),
+                      (GroupContext(short_b), short_b)):
+        trivial = seen_by_coordinates = 0
+        for w in words:
+            lamps_trivial = w_eval(w).is_identity()
+            got = is_trivial(ctx, w)
+            assert got == (lamps_trivial and dense_trivial(seqs, w)), (seqs, w)
+            trivial += got
+            seen_by_coordinates += lamps_trivial and not got
+        assert trivial >= 50 and seen_by_coordinates >= 10
+
+
 def perfbench_trivial_word(rng: random.Random, maxlen: int) -> str:
     """Conjugates of [b, abA] by short random words, length in [7/8 maxlen, maxlen]."""
     base = commutator("b", "abA")
@@ -609,6 +656,29 @@ def test_witness_defining_properties(toy_ctx):
                 dk = toy_ctx.degree(k)
                 assert coordinate_eval(toy_ctx, w, k) == identity(dk)
         assert not is_trivial(toy_ctx, w)
+
+
+def test_witness_matches_dense_compose_on_presets():
+    # witness(ctx, m) returns exactly when dense composition shows its word
+    # nontrivial at coordinate m and the identity at every other preset coordinate
+    rng = random.Random(23)
+    found = refused = 0
+    for _ in range(40):
+        d = [next_prime(rng.randint(11, 70)) for _ in range(rng.randint(1, 5))]
+        r = [rng.randint(1, min(12, (x - 1) // 2)) for x in d]
+        ctx = GroupContext(SequenceSet.preset(d, r))
+        for m in range(1, len(d) + 1):
+            images = list(dense_images(ctx.seqs, neumann._witness_word(r[m - 1])))
+            only_m = all((p == identity(p.degree)) == (k != m) for k, p in enumerate(images, 1))
+            try:
+                w = witness(ctx, m)
+            except WitnessCheckFailed:
+                assert not only_m, (d, r, m)
+                refused += 1
+            else:
+                assert only_m and w == neumann._witness_word(r[m - 1]), (d, r, m)
+                found += 1
+    assert found >= 40 and refused >= 10
 
 
 def test_witness_span_cutoff_is_its_coordinate(toy_ctx):

@@ -95,6 +95,28 @@ def test_random_reduced_contract():
     assert W.random_reduced(64, 1234) == w
     others = {W.random_reduced(64, s) for s in range(5)}
     assert len(others) > 1
+    assert W.random_reduced(24, 1234) == "BBAAABABaBaBaaBBABAABBBA"  # pinned stream
+
+
+def random_reduced_by_calls(length: int, seed: int) -> str:
+    """random_reduced as a loop over splitmix64 calls, the reference stream."""
+    if length == 0:
+        return ""
+    state, z = W.splitmix64(seed & ((1 << 64) - 1))
+    out = [W.ALPHABET[z % 4]]
+    for _ in range(length - 1):
+        state, z = W.splitmix64(state)
+        choices = [c for c in W.ALPHABET if c != W.INVERSE_OF[out[-1]]]
+        out.append(choices[z % 3])
+    return "".join(out)
+
+
+def test_random_reduced_matches_splitmix64_calls():
+    for seed in range(500):
+        for length in (0, 1, 2, 7, 32):
+            assert W.random_reduced(length, seed) == random_reduced_by_calls(length, seed)
+    for seed in (-1, -12345, 2**64 + 3, 2**70 - 1):
+        assert W.random_reduced(20, seed) == random_reduced_by_calls(20, seed)
 
 
 def test_random_reduced_zero_length():
