@@ -254,11 +254,15 @@ def scan_tree(tabs: np.ndarray, r: int, max_depth: int) -> tuple[int, int]:
     return nodes, fails
 
 
-def check_random_words(tabs: np.ndarray, r: int, codes2d: np.ndarray) -> tuple[int, int]:
+def check_random_words(
+    tabs: np.ndarray, r: int, codes2d: list[list[int]] | np.ndarray
+) -> tuple[int, int]:
     """Run the two scan_tree checks on each whole word in a batch.
 
-    codes2d has shape (words, length); only the final state of each word
-    is checked, not its prefixes.  Returns (words checked, failures).
+    codes2d is a list of equal-length code lists or an integer array of
+    shape (words, length); ``np.asarray(codes2d).tolist()`` turns either
+    into lists of plain ints.  Only the final state of each word is
+    checked, not its prefixes.  Returns (words checked, failures).
     """
     d = tabs.shape[1]
     r = int(r)

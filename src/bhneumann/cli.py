@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from . import _kernels
 from .errors import BHNeumannError, BudgetExceeded
@@ -248,11 +247,9 @@ def _check_locality(cfg: RunConfig, ctx: GroupContext, report: _Report) -> None:
             rand_coords.append(m)
         m += 1
     words = [random_reduced(length, cfg.seed + i) for i in range(200)]
-    codes2d = np.stack([to_codes(w) for w in words])
+    codes = [to_codes(w) for w in words]
     for m in rand_coords:
-        nwords, fails = _kernels.check_random_words(
-            ctx.letter_tables(m), ctx.offset(m), codes2d
-        )
+        nwords, fails = _kernels.check_random_words(ctx.letter_tables(m), ctx.offset(m), codes)
         report.add(
             "locality_random",
             {"m": m, "length": length, "words": int(nwords), "failures": int(fails), "ok": fails == 0},
@@ -354,7 +351,9 @@ def cmd_oracle(cfg: RunConfig, report: _Report) -> int:
     return 0 if _ok(report) else 1
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parse_args keeps no state."""
     ap = argparse.ArgumentParser(
         prog="bhneumann",
         description="Construct, check and measure the two-generator tower.",

@@ -16,11 +16,17 @@ level up to j.  Two facts carry the module:
   stabilizer orbit and the base is complete, so sifting is a sound
   membership test.
 
-The chain is plain Python and meant for small degrees: the full
-verification sweep runs in the CLI only for d <= 13, and Alt(d) at the
-tower's degrees is certified by the ladder bound instead.  Everything is
-deterministic: insertion order, orbit growth order and the verification
-sweep are all fixed functions of the input.
+So a build stops as soon as the product reaches the parity bound, d!/2
+for even generators and d! otherwise (a standard exact stop; Seress,
+*Permutation Group Algorithms*, 2003, section 4.5).  A group below the
+bound is completed by the verification sweep, which sifts each Schreier
+generator until it first sifts to the identity and never again.
+
+The chain is plain Python and meant for small degrees: it runs in the
+CLI only for d <= 13, and Alt(d) at the tower's degrees is certified by
+the ladder bound instead.  Everything is deterministic: insertion order,
+orbit growth order and the verification sweep are all fixed functions
+of the input.
 """
 
 from __future__ import annotations
@@ -39,12 +45,15 @@ __all__ = [
 
 
 class _Level:
-    __slots__ = ("point", "gens", "inv_reps")
+    __slots__ = ("point", "gens", "inv_reps", "sifted")
 
-    def __init__(self, point: int, degree: int):
+    def __init__(self, point: int, identity: tuple):
         self.point = point
         self.gens: list[tuple] = []
-        self.inv_reps: dict[int, tuple] = {point: tuple(range(degree))}
+        self.inv_reps: dict[int, tuple] = {point: identity}
+        # orbit point x -> how many leading gens have a Schreier generator
+        # at x that sifts to the identity below this level
+        self.sifted: dict[int, int] = {}
 
     @property
     def pts(self):
@@ -54,22 +63,27 @@ class _Level:
     def attach(self, g: tuple) -> None:
         """Add generator g and close the orbit breadth first.
 
-        y = g(x) joins with the inverse representative w_x * g^-1, which
+        y = h(x) joins with the inverse representative w_x * h^-1, which
         sends y to x and x to the base point.  Points already in the
-        orbit need only the new generator.
+        orbit need only the new generator.  Each generator is inverted
+        at most once per closure, and only if it finds a new point.
         """
-        self.gens.append(g)
+        gens = self.gens
+        gens.append(g)
         reps = self.inv_reps
-        frontier, step = list(reps), [g]
+        inverses: dict[int, tuple] = {}
+        frontier, first = list(reps), len(gens) - 1
         while frontier:
             fresh = []
             for x in frontier:
-                for h in step:
-                    y = h[x]
+                for i in range(first, len(gens)):
+                    y = gens[i][x]
                     if y not in reps:
-                        reps[y] = compose_images(reps[x], inverse_images(h))
+                        if i not in inverses:
+                            inverses[i] = inverse_images(gens[i])
+                        reps[y] = compose_images(reps[x], inverses[i])
                         fresh.append(y)
-            frontier, step = fresh, self.gens
+            frontier, first = fresh, 0
 
 
 class StabilizerChain:
@@ -79,6 +93,7 @@ class StabilizerChain:
         if degree < 1:
             raise ValueError("degree must be positive")
         self.degree = degree
+        self.identity = tuple(range(degree))
         self.levels: list[_Level] = []
         self.complete = False
 
@@ -96,12 +111,12 @@ class StabilizerChain:
             if w is None:
                 return p, li
             p = compose_images(w, p)
-        return (None if p == tuple(range(self.degree)) else p), len(self.levels)
+        return (None if p == self.identity else p), len(self.levels)
 
     def _add_gen_at(self, li: int, p: tuple) -> None:
         if li == len(self.levels):
             point = next(x for x, y in enumerate(p) if x != y)
-            self.levels.append(_Level(point, self.degree))
+            self.levels.append(_Level(point, self.identity))
         for lv in self.levels[: li + 1]:
             lv.attach(p)
 
@@ -114,50 +129,60 @@ class StabilizerChain:
         """First Schreier generator of level li that does not sift below it.
 
         Returns (residue, level) or None.  The Schreier generator for an
-        orbit point x and a generator g is w_g(x) * g * w_x^-1.
+        orbit point x and a generator g is w_g(x) * g * w_x^-1.  Pairs
+        recorded in the level's ``sifted`` counts are skipped: reps are
+        never replaced and levels only appended, so an element that once
+        sifted to the identity still does, and the first residue found
+        is the one a full rescan would find.  The pair returned counts
+        as sifted too: the caller attaches its residue at level rl, whose
+        new rep for residue(point) is residue^-1, so the pair sifts to
+        the identity from then on.  The recorded pairs of a point are a
+        prefix of gens, as gens only grow at the end.
         """
         lv = self.levels[li]
-        for x, w in lv.inv_reps.items():
+        reps, gens, sifted = lv.inv_reps, lv.gens, lv.sifted
+        for x, w in reps.items():
+            done = sifted.get(x, 0)
+            if done == len(gens):
+                continue
             u = inverse_images(w)
-            for g in lv.gens:
-                schreier = compose_images(lv.inv_reps[g[x]], compose_images(g, u))
+            for i in range(done, len(gens)):
+                g = gens[i]
+                schreier = compose_images(reps[g[x]], compose_images(g, u))
                 residue, rl = self._sift(schreier, li + 1)
                 if residue is not None:
+                    sifted[x] = i + 1
                     return residue, rl
+            sifted[x] = len(gens)
         return None
 
-    def _verify_sweep(self, target: int | None = None) -> None:
+    def _verify_sweep(self, bound: int) -> None:
         """Deterministic completion: check every Schreier generator.
 
         Works bottom up; a surviving residue is attached at its level
-        and the sweep restarts there.  With a target order the sweep
-        stops as soon as the orbit product reaches it.
+        and the sweep restarts there.  The sweep stops as soon as the
+        orbit product reaches bound, an upper bound on the group order.
         """
         li = len(self.levels) - 1
-        while li >= 0 and self.order() != target:
+        while li >= 0 and self.order() < bound:
             found = self._first_residue(li)
             if found is None:
                 li -= 1
             else:
                 residue, li = found
                 self._add_gen_at(li, residue)
-        self.complete = True
 
 
-def build_chain(
-    generators: list[Permutation],
-    *,
-    known_order: int | None = None,
-) -> StabilizerChain:
-    """Deterministic stabilizer chain for the group the inputs generate.
+def build_chain(generators: list[Permutation]) -> StabilizerChain:
+    """Deterministic, complete stabilizer chain for the inputs' group.
 
-    known_order may be passed when the exact order is certain from
-    structure theory; the build then stops as soon as the transversal
-    product reaches it, which is sound because the product can never
-    exceed the true order.  Passing a wrong, too small value would end
-    the build early and break membership tests, so only certain
-    knowledge belongs here.  Without it the chain is completed by the
-    full verification sweep, which is exact but meant for small degrees.
+    The group lies in Alt(d) when every generator is even and in Sym(d)
+    otherwise, so |Alt(d)| (1 at d = 1) or d! bounds its order.  The
+    build stops as soon as the transversal product reaches that bound,
+    which is exact because the product never exceeds the group order.
+    A proper subgroup of the bound never reaches it and is completed by
+    the full verification sweep, which is exact but meant for small
+    degrees.
     """
     if not generators:
         raise ValueError("at least one generator is required")
@@ -165,13 +190,17 @@ def build_chain(
     for g in generators:
         if g.degree != degree:
             raise ValueError("generators must share one degree")
+    bound = math.factorial(degree)
+    if degree > 1 and all(map(is_even, generators)):
+        bound //= 2
     chain = StabilizerChain(degree)
     for g in generators:
         chain._insert(g.images)
-        if chain.order() == known_order:
-            chain.complete = True
-            return chain
-    chain._verify_sweep(known_order)
+        if chain.order() == bound:
+            break
+    else:
+        chain._verify_sweep(bound)
+    chain.complete = True
     return chain
 
 
@@ -255,10 +284,10 @@ def verify_alt_generation(d: int, r1: int, r2: int) -> bool:
     (the transversal product never exceeds the order) without building
     one, in O(d) Python-level steps instead of O(d^3).
 
-    If the product falls short, or r1 != r2, a stabilizer chain built up
-    to the known order d!/2 decides.  Raises InvalidGenerators (a
-    ValueError) when d is not an odd prime >= 5 or the offsets do not
-    fit.
+    If the product falls short, or r1 != r2, a stabilizer chain decides;
+    it stops at d!/2 by itself, as both generators are even.  Raises
+    InvalidGenerators (a ValueError) when d is not an odd prime >= 5 or
+    the offsets do not fit.
     """
     alpha, beta = make_generators(d, r1, r2)
     if not (is_even(alpha) and is_even(beta)):
@@ -266,5 +295,5 @@ def verify_alt_generation(d: int, r1: int, r2: int) -> bool:
     target = math.factorial(d) // 2
     if r1 == r2 and _ladder_bound(alpha, beta, r1) == target:
         return True
-    chain = build_chain([alpha, beta], known_order=target)
+    chain = build_chain([alpha, beta])
     return group_order(chain) == target

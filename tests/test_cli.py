@@ -291,6 +291,19 @@ def test_bad_flag_value_exits_2(capsys):
     capsys.readouterr()
 
 
+def test_parser_is_reused_across_calls(capsys):
+    # one parser serves every call in a process: a refused flag between
+    # two good calls must leave the second one's output unchanged
+    assert cli._parser() is cli._parser()
+    good = ["build", "--profile", "toy", "--n", "5", "--format", "json"]
+    first = run(capsys, good)
+    assert run(capsys, ["build", "--profile", "hexagonal"])[0] == 2
+    assert run(capsys, ["verify", "--n", "0x"])[0] == 2
+    second = run(capsys, good)
+    assert first[0] == second[0] == 0
+    assert first[1] == second[1] != ""
+
+
 @pytest.mark.parametrize(
     "config",
     [

@@ -163,3 +163,12 @@ def test_check_random_words_counts_every_word():
     # colliding overlays, counts measured with dense table composition
     batch = word_batch(100, 24, seed0=1000)
     assert K.check_random_words(tabs_of(13, 2), 2, batch) == (100, 95)
+
+
+def test_check_random_words_takes_code_lists():
+    batch = word_batch(100, 24, seed0=1000)
+    lists = [to_codes(random_reduced(24, 1000 + i)) for i in range(100)]
+    assert lists == batch.tolist()
+    for d, r in ((13, 2), (83, 11)):
+        tabs = tabs_of(d, r)
+        assert K.check_random_words(tabs, r, lists) == K.check_random_words(tabs, r, batch)

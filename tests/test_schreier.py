@@ -121,12 +121,72 @@ def test_build_chain_validation():
         S.build_chain([P.identity(5), P.identity(6)])
 
 
-def test_known_order_early_exit_matches_plain_build():
-    gens = list(P.make_generators(13, 4, 4))
-    want = math.factorial(13) // 2
-    fast = S.build_chain(gens, known_order=want)
-    plain = S.build_chain(gens)
-    assert S.group_order(fast) == S.group_order(plain) == want
+def reference_chain(gens: list[P.Permutation]) -> S.StabilizerChain:
+    """The chain by a rescanning, unbounded sweep.
+
+    Every pass over a level sifts all of its Schreier generators again,
+    and the sweep runs to the end whatever the order already is.
+    """
+    chain = S.StabilizerChain(gens[0].degree)
+    for g in gens:
+        chain._insert(g.images)
+
+    def first_residue(li):
+        lv = chain.levels[li]
+        for x, w in lv.inv_reps.items():
+            u = P.inverse_images(w)
+            for g in lv.gens:
+                schreier = P.compose_images(lv.inv_reps[g[x]], P.compose_images(g, u))
+                residue, rl = chain._sift(schreier, li + 1)
+                if residue is not None:
+                    return residue, rl
+        return None
+
+    li = len(chain.levels) - 1
+    while li >= 0:
+        found = first_residue(li)
+        if found is None:
+            li -= 1
+        else:
+            residue, li = found
+            chain._add_gen_at(li, residue)
+    return chain
+
+
+def levels_of(chain: S.StabilizerChain) -> list:
+    return [(lv.point, list(lv.pts), lv.gens) for lv in chain.levels]
+
+
+def affine_7(a: int) -> list[P.Permutation]:
+    """x -> x + 1 and x -> a x mod 7."""
+    return [P.cycle_from(range(7), 7), P.Permutation([a * x % 7 for x in range(7)])]
+
+
+@pytest.mark.parametrize(
+    "gens,want",
+    [
+        (affine_7(3), 42),  # AGL(1, 7): 3 is a primitive root, so odd
+        (affine_7(2), 21),  # the Frobenius group of order 21, even
+        ([P.cycle_from([0, 1, 2], 7), P.cycle_from([3, 4, 5], 7)], 9),
+        # odd generators: the bound is 5!, and the chain must not stop at 60
+        ([P.cycle_from(range(5), 5), P.cycle_from([0, 1], 5)], 120),
+        (list(P.make_generators(5, 2, 2)), 60),
+        (list(P.make_generators(7, 2, 3)), 2520),
+        (list(P.make_generators(11, 3, 3)), math.factorial(11) // 2),
+        (list(P.make_generators(13, 4, 4)), math.factorial(13) // 2),
+    ],
+)
+def test_chain_matches_the_reference_sweep(gens, want):
+    chain = S.build_chain(gens)
+    assert chain.complete
+    assert S.group_order(chain) == want
+    assert levels_of(chain) == levels_of(reference_chain(gens))
+
+
+def test_degrees_one_and_two():
+    assert S.group_order(S.build_chain([P.identity(1)])) == 1
+    assert S.group_order(S.build_chain([P.identity(2)])) == 1
+    assert S.group_order(S.build_chain([P.cycle_from([0, 1], 2)])) == 2
 
 
 def test_transversal_product_invariant():
