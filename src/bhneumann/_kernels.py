@@ -12,13 +12,15 @@ a letter to a word with normal form (s, sigma):
   most 3 points of sigma.
 
 The cost per letter does not depend on d.  Only ``image`` builds a
-dense table, an ``array('i')`` made without numpy; signature digests,
-``neumann.coordinate_eval`` and the rare dense case of
-``canonical_form`` ask for one.  s = 0 (mod d) with sigma empty implies P is the identity.  The
-converse holds for a zero a-exponent sum or under spread (sigma moves
-fewer than d points), but not in general: at (d, r) = (5, 2), aBaB has
-s = 2 and sigma = rho^-2, so P is the identity.  ``canonical_form``
-picks the one (s, sigma) of each P, so equal images have equal forms.
+dense table, an ``array('i')`` cut from one shared identity row;
+letter tables, signature digests, ``neumann.coordinate_eval`` and the
+rare dense case of ``canonical_form`` ask for one.
+
+s = 0 (mod d) with sigma empty implies P is the identity.  The converse
+holds for a zero a-exponent sum or under spread (sigma moves fewer than
+d points), but not in general: at (d, r) = (5, 2), aBaB has s = 2 and
+sigma = rho^-2, so P is the identity.  ``canonical_form`` picks the one
+(s, sigma) of each P, so equal images have equal forms.
 
 A word's *b-skeleton* is the shift and letter code of each b or B it
 reads, plus its final shift.  ``skeleton_form`` applies only the
@@ -27,13 +29,13 @@ coordinate at O(number of b letters) each.
 
 Shared conventions:
 
-* ``tabs`` is the (4, d) letter table array of a coordinate (rows a, A,
-  b, B); the kernels read only d = ``tabs.shape[1]`` and, in
-  ``eval_word``, r = ``tabs[2, 0]``.  Letter codes are a=0, A=1, b=2,
-  B=3, so ``code ^ 1`` is the inverse letter.  A word's codes are a
-  list of Python ints (``words.to_codes``), walked as given, so shifts
-  are unbounded ints; only ``check_random_words`` takes a 2-D array
-  batch, which it turns into lists once.
+* ``tabs`` is the letter table of a coordinate,
+  ``GroupContext.letter_tables``: a read-only int32 memoryview of shape
+  (4, d) whose rows are the images of a, A, b, B.  The kernels read
+  only d = ``tabs.shape[1]`` and, in ``eval_word``, r = ``tabs[2, 0]``.
+  Letter codes are a=0, A=1, b=2, B=3, so ``code ^ 1`` is the inverse
+  letter.  A word's codes are a list of Python ints
+  (``words.to_codes``), walked as given, so shifts are unbounded ints.
 * Words act right to left: the image of l1 l2 ... ln is l1 o ... o ln.
 * Lamp state mirrors the two-generator evaluation on the integer line:
   letter a shifts by +1, A by -1, b adds 1 (mod 3) to the lamp at the
@@ -54,13 +56,12 @@ from __future__ import annotations
 from array import array
 from collections import Counter
 
-import numpy as np
-
 from .errors import DegreeTooLarge
 from .perm import MAX_DEGREE
 
-# perfbench/run.py records these two names, and --compare matches runs on
-# the backend; there is one implementation, in plain Python and numpy.
+# Labels only: perfbench/run.py records these two names and --compare
+# matches runs on the backend.  There is one implementation, in plain
+# Python; no numpy is behind the "numpy" label.
 ACTIVE = "numpy"
 HAVE_NUMBA = False
 
@@ -133,7 +134,7 @@ def _fails(s: int, sigma: dict, lamps: dict, r: int, d: int) -> bool:
     return sigma != overlay
 
 
-def eval_word(tabs: np.ndarray, codes: list[int]) -> tuple[int, dict]:
+def eval_word(tabs: memoryview, codes: list[int]) -> tuple[int, dict]:
     """Normal form (s mod d, sigma) of the word given by letter codes.
 
     codes is a list of Python ints (``words.to_codes``); it is walked as
@@ -186,37 +187,32 @@ def canonical_form(d: int, s: int, sigma: dict) -> tuple[int, dict]:
     return s, {y: v for y, v in moved if y != v}
 
 
-# Doubled identity rows x -> x mod d on 2d points, keyed by d.  The cache
-# is module-wide and bounded: past _BASE_POINTS points in total it is
-# emptied before the next row is added.
-_bases: dict[int, array] = {}
-_BASE_POINTS = 1 << 24
+# The identity row x -> x, grown to the largest degree image has been
+# asked for (at most perm.MAX_DEGREE points, 16 MiB); every table is cut
+# from it.
+_row = array("i")
 
 
 def image(d: int, s: int, sigma: dict) -> array:
     """Dense int32 table x -> sigma(x + s) of a normal form on d points.
 
-    The one dense builder: the table is cut from a doubled identity row
-    kept in a bounded module-wide cache (_bases, at most 2^24 points in
-    all, 64 MiB) and patched at the points sigma moves.  s is reduced
-    mod d first.  Past perm.MAX_DEGREE points it raises
-    DegreeTooLarge before allocating anything.
+    The one dense builder: the table is row[s:d] + row[:s] of the shared
+    identity row, patched at the points sigma moves.  s is reduced mod d
+    first.  Past perm.MAX_DEGREE points it raises DegreeTooLarge before
+    allocating anything.
     """
     if d > MAX_DEGREE:
         raise DegreeTooLarge(f"degree {d} exceeds the dense table limit of {MAX_DEGREE} points")
-    base = _bases.get(d)
-    if base is None:
-        if sum(map(len, _bases.values())) + 2 * d > _BASE_POINTS:
-            _bases.clear()
-        base = _bases[d] = array("i", range(d)) * 2
+    if len(_row) < d:
+        _row.extend(range(len(_row), d))
     s %= d
-    images = base[s : s + d]
+    images = _row[s:d] + _row[:s]
     for y, v in sigma.items():
         images[(y - s) % d] = v
     return images
 
 
-def scan_tree(tabs: np.ndarray, r: int, max_depth: int) -> tuple[int, int]:
+def scan_tree(tabs: memoryview, r: int, max_depth: int) -> tuple[int, int]:
     """Walk all reduced words of length <= max_depth; count check failures.
 
     Two checks per node: the image is the identity exactly when the lamp
@@ -254,19 +250,17 @@ def scan_tree(tabs: np.ndarray, r: int, max_depth: int) -> tuple[int, int]:
     return nodes, fails
 
 
-def check_random_words(
-    tabs: np.ndarray, r: int, codes2d: list[list[int]] | np.ndarray
-) -> tuple[int, int]:
+def check_random_words(tabs: memoryview, r: int, codes2d) -> tuple[int, int]:
     """Run the two scan_tree checks on each whole word in a batch.
 
-    codes2d is a list of equal-length code lists or an integer array of
-    shape (words, length); ``np.asarray(codes2d).tolist()`` turns either
-    into lists of plain ints.  Only the final state of each word is
-    checked, not its prefixes.  Returns (words checked, failures).
+    codes2d is a list of code lists, walked as given, or an integer
+    array of shape (words, length), turned into lists once by its
+    ``tolist()``.  Only the final state of each word is checked, not its
+    prefixes.  Returns (words checked, failures).
     """
     d = tabs.shape[1]
     r = int(r)
-    rows = np.asarray(codes2d).tolist()
+    rows = codes2d.tolist() if hasattr(codes2d, "tolist") else codes2d
     fails = 0
     for codes in rows:
         lamps: dict[int, int] = {}

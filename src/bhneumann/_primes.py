@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 # Deterministic Miller-Rabin witnesses graded by size.  Each row
 # (bound, witnesses) holds the first k primes with psi_k = bound, psi_k
 # the least strong pseudoprime to all of them, so they certify every
@@ -63,15 +61,15 @@ def next_prime(n: int) -> int:
     return k
 
 
-def sieve(limit: int) -> np.ndarray:
-    """Boolean primality table for 0..limit inclusive (Eratosthenes)."""
+def sieve(limit: int) -> bytearray:
+    """Primality flags for 0..limit inclusive, 1 for a prime (Eratosthenes)."""
     if limit < 0:
         raise ValueError("limit must be nonnegative")
-    flags = np.ones(limit + 1, dtype=bool)
-    flags[: min(2, limit + 1)] = False
+    flags = bytearray([1]) * (limit + 1)
+    flags[:2] = bytes(min(2, limit + 1))
     p = 2
     while p * p <= limit:
         if flags[p]:
-            flags[p * p :: p] = False
+            flags[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
         p += 1
     return flags

@@ -10,11 +10,10 @@ enough to materialize, independently of the magnitudes.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Callable
-
-import numpy as np
 
 from .seqgen import GrowthProfile, SequenceSet
 
@@ -32,7 +31,9 @@ __all__ = [
 
 _EXACT_LIMIT = 2000
 _TABLE_LIMIT = 1_000_000
-_cumlog: np.ndarray | None = None
+# log(k!) for k = 0, 1, ..., summed one log at a time, grown on demand to
+# the largest index log_factorial has read (at most _TABLE_LIMIT)
+_cumlog = array("d", [0.0])
 
 
 @dataclass
@@ -46,21 +47,18 @@ class BoundTable:
         return all(row["lower_log"] <= row["upper_log"] for row in self.rows)
 
 
-def _cumlog_table() -> np.ndarray:
-    global _cumlog
-    if _cumlog is None:
-        logs = np.log(np.arange(1, _TABLE_LIMIT + 1, dtype=np.float64))
-        _cumlog = np.concatenate([[0.0], np.cumsum(logs)])
-    return _cumlog
-
-
 def log_factorial(n: int) -> float:
     """log(n!) from a cumulative sum of logs up to 10^6, lgamma beyond."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n <= _TABLE_LIMIT:
-        return float(_cumlog_table()[n])
-    return math.lgamma(n + 1)
+    if n > _TABLE_LIMIT:
+        return math.lgamma(n + 1)
+    top = len(_cumlog)
+    if n >= top:
+        sums = accumulate(map(math.log, range(top, n + 1)), initial=_cumlog[top - 1])
+        next(sums)  # the initial value is stored already
+        _cumlog.extend(sums)
+    return _cumlog[n]
 
 
 def _half_factorial(d: int) -> float:

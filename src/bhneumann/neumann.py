@@ -27,8 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from hashlib import blake2b
 
-import numpy as np
-
 from . import _kernels
 from .errors import BudgetExceeded, SpreadAssertionFailed, WitnessCheckFailed
 from .perm import Permutation, check_generators
@@ -56,12 +54,13 @@ __all__ = [
 class GroupContext:
     """Sequence data plus caches of letter tables, checked (d, r) and span cutoffs.
 
-    The table cache maps coordinate index m to a read-only int32 array of
-    shape (4, d(m)) whose rows are the image tables of the letters a, A,
-    b, B, built from (d(m), r(m)) alone: x + 1, x - 1 mod d, the 3-cycle
-    (0, r, 2r) and its inverse.  (d, r) must pass perm.check_generators.
+    The table cache maps coordinate index m to a read-only int32
+    memoryview of shape (4, d(m)) whose rows are the image tables of the
+    letters a, A, b, B, built by _kernels.image from (d(m), r(m)) alone:
+    x + 1, x - 1 mod d, the 3-cycle (0, r, 2r) and its inverse.
     generator_pairs keeps the checked (d(m), r(m)) of coordinates 1, 2,
-    ... as a list that only grows.
+    ... as a list that only grows; letter tables read (d, r) from it, so
+    each coordinate passes perm.check_generators once per context.
     The one cutoff cache maps a span W to span_cutoff(ctx, W); cutoff(ctx,
     n) reads it at W = 2n.  Derived and preset tables never change at a
     known index, so no cache goes stale.  Contexts are immutable once
@@ -70,7 +69,7 @@ class GroupContext:
 
     def __init__(self, seqs: SequenceSet):
         self.seqs = seqs
-        self._tabs: dict[int, np.ndarray] = {}
+        self._tabs: dict[int, memoryview] = {}
         self._pairs: list[tuple[int, int]] = []
         self._spans: dict[int, int] = {}
 
@@ -80,18 +79,14 @@ class GroupContext:
     def offset(self, m: int) -> int:
         return self.seqs.r_of(m)
 
-    def letter_tables(self, m: int) -> np.ndarray:
+    def letter_tables(self, m: int) -> memoryview:
         tabs = self._tabs.get(m)
         if tabs is None:
-            d = self.seqs.d_of(m)
-            r = self.seqs.r_of(m)
-            check_generators(d, r, r)
-            x = np.arange(d, dtype=np.int32)
-            tabs = np.stack([np.roll(x, -1), np.roll(x, 1), x, x])
-            tabs[2, [0, r, 2 * r]] = r, 2 * r, 0
-            tabs[3, [0, r, 2 * r]] = 2 * r, 0, r
-            tabs.setflags(write=False)
-            self._tabs[m] = tabs
+            d, r = self.generator_pairs(m)[m - 1]
+            b = {0: r, r: 2 * r, 2 * r: 0}
+            rows = [(1, {}), (-1, {}), (0, b), (0, {v: k for k, v in b.items()})]
+            joined = b"".join(_kernels.image(d, s, sigma) for s, sigma in rows)
+            tabs = self._tabs[m] = memoryview(joined).cast("i", (4, d))
         return tabs
 
     def generator_pairs(self, m0: int) -> list[tuple[int, int]]:
@@ -138,7 +133,7 @@ class ElementSignature:
         parts = [self.n_class.to_bytes(4, "big"), len(self.low_coords).to_bytes(4, "big")]
         for d, s, items in self.low_coords:
             parts.append(d.to_bytes(4, "big"))
-            parts.append(_kernels.image(d, s, dict(items)).tobytes())
+            parts.append(_kernels.image(d, s, dict(items)))
         parts.append(self.wreath.shift.to_bytes(8, "big", signed=True))
         for pos, val in self.wreath.lamps:
             parts.append(pos.to_bytes(8, "big", signed=True))

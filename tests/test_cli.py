@@ -1,10 +1,14 @@
 """CLI contract: exit codes, output bytes, config handling."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import bhneumann
 from bhneumann import SequenceSet, cli, growth
 from bhneumann.cli import RunConfig, _Report, main
 
@@ -325,3 +329,33 @@ def test_bad_param_value_exits_2(capsys, tmp_path, config):
     assert rc == 2
     assert out == ""
     assert err.startswith("config error: ") and err.count("\n") == 1
+
+
+NO_NUMPY_SCRIPT = """
+import contextlib, io, sys
+import bhneumann, bhneumann.cli
+runs = [
+    ["build", "--profile", "toy", "--n", "20"],
+    ["verify", "--profile", "toy", "--n", "10"],
+    ["growth", "--profile", "toy", "--n", "25"],
+    ["oracle", "--profile", "toy", "--n", "4"],
+]
+for argv in runs:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert bhneumann.cli.main(argv) == 0, argv
+print(sorted(m for m in sys.modules if m == "numpy" or m.startswith("numpy.")))
+"""
+
+
+def test_package_runs_without_importing_numpy():
+    # a fresh interpreter, so modules the test suite imported do not count
+    src = Path(bhneumann.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_NUMPY_SCRIPT],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

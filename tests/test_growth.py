@@ -1,9 +1,12 @@
 """Growth bounds: log-domain magnitudes against big integers computed here."""
 
 import math
+from array import array
+from itertools import accumulate
 
 import pytest
 
+import bhneumann.growth as growth_module
 from bhneumann import (
     GroupContext,
     GrowthProfile,
@@ -53,6 +56,23 @@ def test_log_factorial_stirling_sandwich():
     for n in (2, 3, 10, 77, 1000, 33_333, 100_000):
         lf = log_factorial(n)
         assert n * math.log(n) - n + 1 <= lf <= n * math.log(n)
+
+
+def test_log_factorial_table_grows_lazily_to_one_full_pass(monkeypatch):
+    monkeypatch.setattr(growth_module, "_cumlog", array("d", [0.0]))
+    got = {}
+    reads = [(10, 11), (345_600, 345_601), (5, 345_601), (10**6, 10**6 + 1), (10**6 + 1, 10**6 + 1)]
+    for n, size in reads:  # index read, table length after the read
+        got[n] = log_factorial(n)
+        assert len(growth_module._cumlog) == size
+    full = array("d", [0.0, *accumulate(map(math.log, range(1, 10**6 + 1)))])
+    assert growth_module._cumlog.tobytes() == full.tobytes()
+    for n in (10, 345_600, 5, 10**6):
+        assert got[n].hex() == full[n].hex()
+    # the table's last entry and lgamma's first meet at 10^6
+    for n in (10**6, 10**6 + 1):
+        assert math.isclose(got[n], math.lgamma(n + 1), rel_tol=1e-9)
+    assert got[10**6 + 1] == math.lgamma(10**6 + 2)
 
 
 def test_log_factorial_rejects_negative():

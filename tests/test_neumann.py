@@ -47,13 +47,14 @@ from bhneumann.perm import MAX_DEGREE
 from bhneumann.words import to_codes
 
 
-def dense_trivial_bitmap(tabs: np.ndarray, depth: int) -> np.ndarray:
+def dense_trivial_bitmap(tabs, depth: int) -> np.ndarray:
     """Preorder flags over all nonempty reduced words of length <= depth.
 
     Walks the prefix tree with child order a, A, b, B and composes the
     dense letter tables along each path; a flag is set where the prefix
     image is the identity.  Independent of the sparse kernels.
     """
+    tabs = np.asarray(tabs)
     idx = np.arange(tabs.shape[1], dtype=np.int32)
     flags: list[bool] = []
 
@@ -267,19 +268,38 @@ def test_coordinate_eval_generator_images(toy_ctx):
 def test_letter_tables_cached_and_frozen(toy_ctx):
     tabs = toy_ctx.letter_tables(1)
     assert tabs is toy_ctx.letter_tables(1)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         tabs[0, 0] = 7
     d = tabs.shape[1]
-    assert np.array_equal(tabs[0][tabs[1]], np.arange(d))
-    assert np.array_equal(tabs[2][tabs[3]], np.arange(d))
+    rows = np.asarray(tabs)
+    assert np.array_equal(rows[0][rows[1]], np.arange(d))
+    assert np.array_equal(rows[2][rows[3]], np.arange(d))
     # rows a, A, b, B are the generator images and their inverses
     builtin = GroupContext(SequenceSet(GrowthProfile.builtin()))
     for ctx, m in [(toy_ctx, m) for m in range(1, 6)] + [(builtin, 7)]:
         tabs = ctx.letter_tables(m)
         alpha, beta = make_generators(ctx.degree(m), ctx.offset(m), ctx.offset(m))
-        assert tabs.dtype == np.int32 and not tabs.flags.writeable
+        rows = np.asarray(tabs)
+        assert rows.dtype == np.int32 and not rows.flags.writeable
         want = [alpha.images, inverse(alpha).images, beta.images, inverse(beta).images]
         assert tabs.tolist() == [list(row) for row in want]
+
+
+def test_letter_tables_check_each_coordinate_once(toy_seqs, monkeypatch):
+    checked = []
+    check = neumann.check_generators
+
+    def counted(d, r1, r2):
+        checked.append(d)
+        check(d, r1, r2)
+
+    monkeypatch.setattr(neumann, "check_generators", counted)
+    ctx = GroupContext(toy_seqs)
+    ctx.letter_tables(3)
+    ctx.generator_pairs(4)
+    ctx.letter_tables(2)
+    ctx.letter_tables(4)
+    assert checked == [ctx.degree(m) for m in range(1, 5)]
 
 
 def test_reconstruction_oracle_at_spread_coords(toy_ctx):
