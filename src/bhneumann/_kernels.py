@@ -23,9 +23,9 @@ sigma = rho^-2, so P is the identity.  ``canonical_form`` picks the one
 (s, sigma) of each P, so equal images have equal forms.
 
 A word's *b-skeleton* is the shift and letter code of each b or B it
-reads, plus its final shift.  ``skeleton_form`` applies only the
-skeleton's 3-cycles, so one reading of the word serves every
-coordinate at O(number of b letters) each.
+reads, plus its final shift; ``skeleton`` reads it, rejecting letters
+outside aAbB.  ``skeleton_form`` applies only its 3-cycles, so one
+reading serves every coordinate at O(number of b letters) each.
 
 Shared conventions:
 
@@ -33,9 +33,11 @@ Shared conventions:
   ``GroupContext.letter_tables``: a read-only int32 memoryview of shape
   (4, d) whose rows are the images of a, A, b, B.  The kernels read
   only d = ``tabs.shape[1]`` and, in ``eval_word``, r = ``tabs[2, 0]``.
-  Letter codes are a=0, A=1, b=2, B=3, so ``code ^ 1`` is the inverse
-  letter.  A word's codes are a list of Python ints
-  (``words.to_codes``), walked as given, so shifts are unbounded ints.
+  ``eval_word``, the entry point of every coordinate test, walks a
+  b-skeleton at that (d, r) and returns sigma; the word's image is
+  sigma o rho^shift.  Letter codes are a=0, A=1, b=2, B=3, so
+  ``code ^ 1`` is the inverse letter; only ``check_random_words`` walks
+  codes (lists of ints, ``words.to_codes``).
 * Words act right to left: the image of l1 l2 ... ln is l1 o ... o ln.
 * Lamp state mirrors the two-generator evaluation on the integer line:
   letter a shifts by +1, A by -1, b adds 1 (mod 3) to the lamp at the
@@ -106,18 +108,6 @@ def _append_b(sigma: dict, lamps: dict | None, s: int, r: int, d: int, c: int) -
             del lamps[s]
 
 
-def _walk(codes, r: int, d: int, lamps: dict | None = None) -> tuple[int, dict]:
-    """Normal form (s, sigma) of a word; fills lamps with its lamp state."""
-    s = 0
-    sigma: dict[int, int] = {}
-    for c in codes:
-        if c < 2:
-            s += 1 - 2 * c
-        else:
-            _append_b(sigma, lamps, s, r, d, c)
-    return s, sigma
-
-
 def _fails(s: int, sigma: dict, lamps: dict, r: int, d: int) -> bool:
     """Whether a word fails either check of ``scan_tree``."""
     if (s % d == 0 and not sigma) != (s == 0 and not lamps):
@@ -134,40 +124,36 @@ def _fails(s: int, sigma: dict, lamps: dict, r: int, d: int) -> bool:
     return sigma != overlay
 
 
-def eval_word(tabs: memoryview, codes: list[int]) -> tuple[int, dict]:
-    """Normal form (s mod d, sigma) of the word given by letter codes.
-
-    codes is a list of Python ints (``words.to_codes``); it is walked as
-    given, so the running shift is an unbounded int.
-    """
-    d = tabs.shape[1]
-    s, sigma = _walk(codes, int(tabs[2, 0]), d)
-    return s % d, sigma
+def eval_word(tabs: memoryview, skeleton: list[tuple[int, int]]) -> dict:
+    """skeleton_form at the (d, r) of tabs; skeleton is the pair list of ``skeleton``."""
+    return skeleton_form(skeleton, int(tabs[2, 0]), tabs.shape[1])
 
 
 def skeleton(word: str) -> tuple[list[tuple[int, int]], int]:
     """The word's b-skeleton: (shift, code) per b (2) or B (3), and the final shift."""
     s = 0
     pairs = []
+    append = pairs.append
     for ch in word:
         if ch == "a":
             s += 1
         elif ch == "A":
             s -= 1
+        elif ch == "b":
+            append((s, 2))
+        elif ch == "B":
+            append((s, 3))
         else:
-            pairs.append((s, 2 if ch == "b" else 3))
+            raise ValueError(f"letter {ch!r} is not one of aAbB")
     return pairs, s
 
 
-def skeleton_form(skeleton, shift: int, r: int, d: int) -> tuple[int, dict]:
-    """Normal form (s mod d, sigma) of a word from its b-skeleton.
-
-    skeleton and shift are what ``skeleton`` returns.
-    """
+def skeleton_form(skeleton, r: int, d: int) -> dict:
+    """sigma, the product of a b-skeleton's 3-cycles at (d, r); the image is sigma o rho^shift."""
     sigma: dict[int, int] = {}
     for t, c in skeleton:
         _append_b(sigma, None, t, r, d, c)
-    return shift % d, sigma
+    return sigma
 
 
 def canonical_form(d: int, s: int, sigma: dict) -> tuple[int, dict]:
@@ -175,9 +161,10 @@ def canonical_form(d: int, s: int, sigma: dict) -> tuple[int, dict]:
 
     Its shift is the most common value of P(x) - x mod d, the least one
     on a tie, and sigma is P o rho^-shift.  When sigma moves fewer than
-    d/2 points, s itself is the strict majority and (s, sigma) is
-    returned as given; otherwise the dense image decides.
+    d/2 points, s mod d itself is the strict majority and is returned
+    with sigma as given; otherwise the dense image decides.
     """
+    s %= d
     if 2 * len(sigma) < d:
         return s, sigma
     images = image(d, s, sigma)
@@ -263,7 +250,13 @@ def check_random_words(tabs: memoryview, r: int, codes2d) -> tuple[int, int]:
     rows = codes2d.tolist() if hasattr(codes2d, "tolist") else codes2d
     fails = 0
     for codes in rows:
+        s = 0
+        sigma: dict[int, int] = {}
         lamps: dict[int, int] = {}
-        s, sigma = _walk(codes, r, d, lamps)
+        for c in codes:
+            if c < 2:
+                s += 1 - 2 * c
+            else:
+                _append_b(sigma, lamps, s, r, d, c)
         fails += _fails(s, sigma, lamps, r, d)
     return len(rows), fails

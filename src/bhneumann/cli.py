@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from . import _kernels
 from .errors import BHNeumannError, BudgetExceeded
 from .growth import bound_table, envelope_report, exact_sandwich, stirling_check
-from .neumann import GroupContext, _identity_at, _read, _witness_word, ball, spread_ok, witness
+from .neumann import GroupContext, _identity_at, _witness_word, ball, spread_ok, witness
 from .schreier import build_chain, group_order, verify_alt_generation
 from .perm import make_generators
 from .seqgen import GrowthProfile, SequenceSet
@@ -220,9 +220,9 @@ def _check_commuting(cfg: RunConfig, ctx: GroupContext, report: _Report) -> None
     ctx.seqs.ensure(top)
     bad = 0
     for n in range(1, top + 1):
-        _, _, codes = _read(_witness_word(ctx.offset(n)))
+        skeleton, _ = _kernels.skeleton(_witness_word(ctx.offset(n)))
         for m in range(1, top + 1):
-            if _identity_at(ctx, codes, m) != (m != n):
+            if _identity_at(ctx, skeleton, m) != (m != n):
                 bad += 1
     report.add(
         "commuting",

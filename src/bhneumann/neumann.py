@@ -33,7 +33,7 @@ from .perm import Permutation, check_generators
 from .seqgen import SequenceSet
 from .words import commutator as word_commutator
 from .words import conjugate as word_conjugate
-from .words import enumerate_reduced, free_reduce, invert, to_codes
+from .words import enumerate_reduced, free_reduce, invert
 from .wreath import WreathElement, w_eval
 
 __all__ = [
@@ -58,9 +58,12 @@ class GroupContext:
     memoryview of shape (4, d(m)) whose rows are the image tables of the
     letters a, A, b, B, built by _kernels.image from (d(m), r(m)) alone:
     x + 1, x - 1 mod d, the 3-cycle (0, r, 2r) and its inverse.
-    generator_pairs keeps the checked (d(m), r(m)) of coordinates 1, 2,
-    ... as a list that only grows; letter tables read (d, r) from it, so
-    each coordinate passes perm.check_generators once per context.
+    Every coordinate test passes a table to _kernels.eval_word, which
+    reads only its (d, r).  generator_pairs keeps the checked (d(m),
+    r(m)) of coordinates 1, 2, ... as a list that only grows; letter
+    tables read (d, r) from it, so each coordinate passes
+    perm.check_generators once per context.  m < 1 (m0 < 0 for
+    generator_pairs) raises ValueError and caches nothing.
     The one cutoff cache maps a span W to span_cutoff(ctx, W); cutoff(ctx,
     n) reads it at W = 2n.  Derived and preset tables never change at a
     known index, so no cache goes stale.  Contexts are immutable once
@@ -82,6 +85,8 @@ class GroupContext:
     def letter_tables(self, m: int) -> memoryview:
         tabs = self._tabs.get(m)
         if tabs is None:
+            if m < 1:
+                raise ValueError(f"coordinate index must be >= 1, got {m}")
             d, r = self.generator_pairs(m)[m - 1]
             b = {0: r, r: 2 * r, 2 * r: 0}
             rows = [(1, {}), (-1, {}), (0, b), (0, {v: k for k, v in b.items()})]
@@ -91,6 +96,8 @@ class GroupContext:
 
     def generator_pairs(self, m0: int) -> list[tuple[int, int]]:
         """(d(m), r(m)) for m = 1..m0, each passed through check_generators once."""
+        if m0 < 0:
+            raise ValueError(f"coordinate count must be >= 0, got {m0}")
         pairs = self._pairs
         while len(pairs) < m0:
             m = len(pairs) + 1
@@ -145,9 +152,10 @@ class ElementSignature:
 
 
 def coordinate_eval(ctx: GroupContext, word: str, m: int) -> Permutation:
-    """Image of the word at coordinate m, from its sparse normal form."""
-    s, sigma = _kernels.eval_word(ctx.letter_tables(m), to_codes(word))
-    return Permutation(_kernels.image(ctx.degree(m), s, sigma))
+    """Image of the word at coordinate m, from its b-skeleton's normal form."""
+    skeleton, shift = _kernels.skeleton(word)
+    sigma = _kernels.eval_word(ctx.letter_tables(m), skeleton)
+    return Permutation(_kernels.image(ctx.degree(m), shift, sigma))
 
 
 def _clears(ctx: GroupContext, m: int, span: int) -> bool:
@@ -209,41 +217,27 @@ def _scan_span(ctx: GroupContext, span: int) -> int:
     return m0
 
 
-def _read(w: str) -> tuple[bool, int, list[int]]:
-    """One pass over a reduced word: (lamp state trivial, b-span, letter codes).
+def _lamp_span(skeleton: list[tuple[int, int]], shift: int) -> int | None:
+    """The b-span of a word with trivial lamp state, from its b-skeleton; else None.
 
-    The lamp state is trivial when the shift ends at 0 and every lamp
-    is 0 mod 3.  The b-span is max - min of the shifts at which the word
-    reads b or B, 0 if it reads none; it depends on the word as written,
-    so callers pass the reduced word.  The codes are words.to_codes(w).
+    The lamp state is trivial when the shift ends at 0 and every lamp,
+    1 per b plus 2 per B at its shift, is 0 mod 3.  The b-span is
+    max - min of the skeleton's shifts, 0 if it has none; it depends on
+    the word as written, so callers pass the reduced word's skeleton.
     """
-    s = 0
+    if shift:
+        return None
     lamps: dict[int, int] = {}
-    codes: list[int] = []
-    append = codes.append
-    for ch in w:
-        if ch == "a":
-            s += 1
-            append(0)
-        elif ch == "A":
-            s -= 1
-            append(1)
-        elif ch == "b":
-            lamps[s] = lamps.get(s, 0) + 1
-            append(2)
-        else:
-            lamps[s] = lamps.get(s, 0) - 1
-            append(3)
-    if not lamps:
-        return not s, 0, codes
-    trivial = not s and not any(v % 3 for v in lamps.values())
-    return trivial, max(lamps) - min(lamps), codes
+    for t, c in skeleton:
+        lamps[t] = lamps.get(t, 0) + c - 1
+    if any(v % 3 for v in lamps.values()):
+        return None
+    return max(lamps) - min(lamps) if lamps else 0
 
 
-def _identity_at(ctx: GroupContext, codes: list[int], m: int) -> bool:
-    """Whether the word is the identity at m; exact only for a-exponent sum 0."""
-    s, sigma = _kernels.eval_word(ctx.letter_tables(m), codes)
-    return not s and not sigma
+def _identity_at(ctx: GroupContext, skeleton: list[tuple[int, int]], m: int) -> bool:
+    """Whether a word of a-exponent sum 0 is the identity at m, from its b-skeleton."""
+    return not _kernels.eval_word(ctx.letter_tables(m), skeleton)
 
 
 def is_trivial(ctx: GroupContext, word: str) -> bool:
@@ -269,11 +263,12 @@ def is_trivial(ctx: GroupContext, word: str) -> bool:
     w = free_reduce(word)
     if not w:
         return True
-    lamps_trivial, span, codes = _read(w)
-    if not lamps_trivial:
+    skeleton, shift = _kernels.skeleton(w)
+    span = _lamp_span(skeleton, shift)
+    if span is None:
         return False
     for m in range(1, span_cutoff(ctx, span) + 1):
-        if not _identity_at(ctx, codes, m):
+        if not _identity_at(ctx, skeleton, m):
             return False
     return True
 
@@ -301,7 +296,7 @@ def signature(ctx: GroupContext, word: str, n_class: int) -> ElementSignature:
     skeleton, shift = _kernels.skeleton(w)
     coords = []
     for d, r in ctx.generator_pairs(cutoff(ctx, 2 * n_class)):
-        s, sigma = _kernels.canonical_form(d, *_kernels.skeleton_form(skeleton, shift, r, d))
+        s, sigma = _kernels.canonical_form(d, shift, _kernels.skeleton_form(skeleton, r, d))
         coords.append((d, s, tuple(sorted(sigma.items()))))
     return ElementSignature(tuple(coords), w_eval(w), n_class)
 
@@ -331,8 +326,8 @@ def witness(ctx: GroupContext, m: int) -> str:
     w = _witness_word(R)
     if len(w) != 4 + 4 * R:
         raise WitnessCheckFailed(f"witness({m}) reduced to length {len(w)}")
-    lamps_trivial, _, codes = _read(w)
-    if not lamps_trivial:
+    skeleton, shift = _kernels.skeleton(w)
+    if _lamp_span(skeleton, shift) is None:
         raise WitnessCheckFailed(f"witness({m}) has nontrivial lamp state")
     m0 = span_cutoff(ctx, R)
     if m > m0:
@@ -340,7 +335,7 @@ def witness(ctx: GroupContext, m: int) -> str:
             f"witness({m}) has span cutoff {m0} below m"
         )
     for k in range(1, m0 + 1):
-        triv = _identity_at(ctx, codes, k)
+        triv = _identity_at(ctx, skeleton, k)
         if k == m and triv:
             raise WitnessCheckFailed(f"witness({m}) trivial at its own coordinate")
         if k != m and not triv:

@@ -151,10 +151,11 @@ def test_c04_commuting_criterion(actx, capsys):
         cases = violations = 0
         for n in range(1, top + 1):
             w = commutator("b", conjugate("b", "a" * actx.offset(n)))
-            codes = to_codes(w)
+            skeleton, shift = _kernels.skeleton(w)
             for m in range(1, top + 1):
                 d = actx.degree(m)
-                images = _kernels.image(d, *_kernels.eval_word(actx.letter_tables(m), codes))
+                sigma = _kernels.eval_word(actx.letter_tables(m), skeleton)
+                images = _kernels.image(d, shift, sigma)
                 trivial = bool((images == np.arange(d, dtype=np.int32)).all())
                 cases += 1
                 if trivial != (m != n):

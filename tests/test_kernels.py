@@ -29,6 +29,12 @@ def dense_image(d: int, r: int, w: str):
     return cur
 
 
+def eval_form(tabs, w: str) -> tuple[int, dict]:
+    """(final shift, sigma) of w at the coordinate of tabs; its image is sigma o rho^shift."""
+    skeleton, shift = K.skeleton(w)
+    return shift, K.eval_word(tabs, skeleton)
+
+
 def word_batch(nwords: int, length: int, seed0: int) -> np.ndarray:
     rows = [to_codes(random_reduced(length, seed0 + i)) for i in range(nwords)]
     return np.stack(rows).astype(np.int8)
@@ -68,7 +74,7 @@ def test_dfs_order_matches_word_enumeration():
     assert len(words) == len(bitmap)
     idx = np.arange(83, dtype=np.int32)
     for k, w in enumerate(words):
-        images = K.image(83, *K.eval_word(tabs, to_codes(w)))
+        images = K.image(83, *eval_form(tabs, w))
         assert bitmap[k] == bool((images == idx).all())
 
 
@@ -79,7 +85,10 @@ def test_eval_word_matches_permutation_composition():
         max_shift = 0
         for seed in range(8):
             w = random_reduced(length, seed)
-            got = K.image(d, *K.eval_word(tabs, to_codes(w)))
+            skeleton, shift = K.skeleton(w)
+            sigma = K.eval_word(tabs, skeleton)
+            assert sigma == K.skeleton_form(skeleton, r, d)
+            got = K.image(d, shift, sigma)
             assert np.array_equal(got, dense_image(d, r, w).images)
             shifts = np.cumsum([(ch == "a") - (ch == "A") for ch in w])
             max_shift = max(max_shift, int(np.abs(shifts).max()))
@@ -87,21 +96,21 @@ def test_eval_word_matches_permutation_composition():
 
 
 def test_eval_word_shift_past_int8_range():
-    # the running shift reaches 200 and the codes are plain ints: an int8
-    # code would wrap the shift at 127
+    # the skeleton's shifts reach 200 and are plain ints: an int8 shift
+    # would wrap at 127
     d, r = 257, 5
     w = "a" * 200 + "b" + "A" * 150 + "B"
-    codes = to_codes(w)
-    assert all(type(c) is int for c in codes)
-    s, sigma = K.eval_word(tabs_of(d, r), codes)
-    assert s == 50
+    skeleton, s = K.skeleton(w)
+    assert skeleton == [(200, 2), (50, 3)] and s == 50
+    assert all(type(x) is int for pair in skeleton for x in pair)
+    sigma = K.eval_word(tabs_of(d, r), skeleton)
     assert list(K.image(d, s, sigma)) == list(dense_image(d, r, w).images)
 
 
 def test_normal_form_contract():
     # s = 0 (mod d) with sigma empty implies the identity, not conversely:
     # at (5, 2), aBaB has s = 2 and sigma = rho^-2, yet its image is trivial
-    s, sigma = K.eval_word(tabs_of(5, 2), to_codes("aBaB"))
+    s, sigma = eval_form(tabs_of(5, 2), "aBaB")
     assert s == 2 and sigma
     assert dense_image(5, 2, "aBaB") == identity(5)
     assert np.array_equal(K.image(5, s, sigma), identity(5).images)
@@ -109,10 +118,10 @@ def test_normal_form_contract():
         tabs = tabs_of(d, r)
         for w in enumerate_reduced(6):
             cur = dense_image(d, r, w)
-            s, sigma = K.eval_word(tabs, to_codes(w))
-            assert 0 <= s < d
+            s, sigma = eval_form(tabs, w)
+            assert s == w.count("a") - w.count("A")
             assert np.array_equal(K.image(d, s, sigma), cur.images)
-            if not s and not sigma:
+            if s % d == 0 and not sigma:
                 assert cur == identity(d)
 
 
@@ -120,7 +129,7 @@ def test_image_reduces_the_shift():
     for d, r in ((5, 2), (13, 4)):
         tabs = tabs_of(d, r)
         for w in enumerate_reduced(4):
-            s, sigma = K.eval_word(tabs, to_codes(w))
+            s, sigma = eval_form(tabs, w)
             want = list(dense_image(d, r, w).images)
             for k in (-3, -1, 1, 4):
                 assert list(K.image(d, s + k * d, sigma)) == want, (w, k)
@@ -133,25 +142,17 @@ def test_image_refuses_past_max_degree():
     assert len(K._row) == before
 
 
-def test_skeleton_form_matches_eval_word():
-    for d, r, length in ((97, 3, 30), (13, 2, 200), (13, 4, 200)):
-        tabs = tabs_of(d, r)
-        for seed in range(8):
-            w = random_reduced(length, seed)
-            assert K.skeleton_form(*K.skeleton(w), r, d) == K.eval_word(tabs, to_codes(w))
-
-
 def test_canonical_form_is_one_per_image():
     for d, r in ((5, 2), (7, 3), (11, 2)):
         tabs = tabs_of(d, r)
         forms = {}
         for w in enumerate_reduced(5):
-            s, sigma = K.canonical_form(d, *K.eval_word(tabs, to_codes(w)))
+            s, sigma = K.canonical_form(d, *eval_form(tabs, w))
             assert 0 <= s < d
             assert list(K.image(d, s, sigma)) == list(dense_image(d, r, w).images)
             forms.setdefault(dense_image(d, r, w).images, set()).add((s, tuple(sorted(sigma.items()))))
         assert all(len(f) == 1 for f in forms.values())
-    assert K.canonical_form(5, *K.eval_word(tabs_of(5, 2), to_codes("aBaB"))) == (0, {})
+    assert K.canonical_form(5, *eval_form(tabs_of(5, 2), "aBaB")) == (0, {})
 
 
 def test_check_random_words_counts_every_word():

@@ -1,7 +1,10 @@
 """Word problem, cutoff, witnesses and balls against brute-force oracles."""
 
+import importlib.util
 import random
 import struct
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -302,6 +305,33 @@ def test_letter_tables_check_each_coordinate_once(toy_seqs, monkeypatch):
     assert checked == [ctx.degree(m) for m in range(1, 5)]
 
 
+def test_letter_tables_and_generator_pairs_reject_nonpositive_indices(toy_seqs):
+    ctx = GroupContext(toy_seqs)
+    ctx.letter_tables(3)
+    tabs, pairs = dict(ctx._tabs), list(ctx._pairs)
+    for m in (0, -1, -3):
+        with pytest.raises(ValueError):
+            ctx.letter_tables(m)
+    for m0 in (-1, -2):
+        with pytest.raises(ValueError):
+            ctx.generator_pairs(m0)
+    assert ctx._tabs == tabs and ctx._pairs == pairs
+    assert ctx.generator_pairs(0) == []
+    assert ctx.letter_tables(1).shape == (4, ctx.degree(1))
+
+
+@pytest.mark.parametrize("call", [
+    lambda ctx: is_trivial(ctx, "abx"),
+    lambda ctx: equal(ctx, "abx", "ab"),
+    lambda ctx: signature(ctx, "abx", 3),
+    lambda ctx: coordinate_eval(ctx, "abx", 1),
+    lambda ctx: _kernels.skeleton("abx"),
+], ids=["is_trivial", "equal", "signature", "coordinate_eval", "skeleton"])
+def test_word_readers_reject_letters_outside_the_alphabet(toy_ctx, call):
+    with pytest.raises(ValueError, match="'x'"):
+        call(toy_ctx)
+
+
 def test_reconstruction_oracle_at_spread_coords(toy_ctx):
     # rebuild the coordinate image from the lamp state alone and compare
     def reconstruct(w: str, m: int) -> Permutation:
@@ -435,12 +465,26 @@ def reader_words(rng: random.Random, rounds: int):
         yield w[:k] + rng.choice(("aA", "Bb", "bbbAa")) + w[k:]  # unreduced, same element
 
 
+def skeleton_of_codes(codes: list[int]) -> tuple[list[tuple[int, int]], int]:
+    """(shift, code) of each b/B in a code list, and the final shift."""
+    pairs, s = [], 0
+    for c in codes:
+        if c < 2:
+            s += 1 - 2 * c
+        else:
+            pairs.append((s, c))
+    return pairs, s
+
+
 def test_reader_matches_lamp_state_span_and_codes():
     seen = {"trivial": 0, "nontrivial": 0, "unreduced": 0, "no_b": 0, "only_b": 0}
     for word in reader_words(random.Random(21), 60):
         w = free_reduce(word)
         trivial = w_eval(word).is_identity()
-        assert neumann._read(w) == (trivial, b_shift_span(w), to_codes(w)), word
+        for x in (w, word):
+            assert _kernels.skeleton(x) == skeleton_of_codes(to_codes(x)), x
+        skeleton, shift = _kernels.skeleton(w)
+        assert neumann._lamp_span(skeleton, shift) == (b_shift_span(w) if trivial else None), word
         seen["trivial" if trivial else "nontrivial"] += 1
         seen["unreduced"] += w != word
         seen["no_b"] += bool(w) and "b" not in w.lower()
@@ -503,6 +547,35 @@ def test_is_trivial_work_is_the_span_cutoff(toy_ctx, monkeypatch):
         sizes.clear()
         assert not is_trivial(toy_ctx, w)
         assert len(sizes) == m
+
+
+def test_tracer_reads_eval_word_per_coordinate_and_b_letter(toy_ctx):
+    # perfbench's tracer counts eval_word's children of each is_trivial
+    # span and len(args[1]) letters per call; both must stay readable
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    lib = SimpleNamespace(**{name: importlib.import_module(f"bhneumann.{name}") for name in (
+        "cli", "seqgen", "schreier", "growth", "neumann", "_kernels", "wreath", "words", "perm")})
+    rng = random.Random(5)
+    words = [perfbench_trivial_word(rng, 64) for _ in range(20)]
+    c = commutator("b", conjugate("b", "a"))  # trivial at every toy coordinate
+    words += [c + conjugate(c, "a" * k) for k in (3, 6, 9)]  # b-spans 4, 7, 10
+    tracer = tracing.Tracer()
+    tracing.install(tracer, lib)
+    try:
+        answers = [neumann.is_trivial(toy_ctx, w) for w in words]
+    finally:
+        tracer.uninstall()
+    assert neumann.is_trivial is is_trivial
+    assert not hasattr(_kernels.eval_word, "__wrapped__")
+    assert answers == [True] * len(words)
+    cutoffs = [span_cutoff(toy_ctx, b_shift_span(free_reduce(w))) for w in words]
+    assert tracer.children_of("neumann.is_trivial", "kernels.eval_word") == cutoffs
+    assert cutoffs[20:] == [2, 4, 6]
+    b_letters = sum(k * sum(ch in "bB" for ch in free_reduce(w)) for w, k in zip(words, cutoffs))
+    assert tracer.counts["kernels.eval_word_letters"] == b_letters
 
 
 def test_is_trivial_small_span_on_bprime():
