@@ -95,6 +95,15 @@ def test_eval_word_matches_permutation_composition():
         assert max_shift >= d or d > length
 
 
+def test_skeleton_form_matches_eval_word():
+    # eval_word reads (d, r) off its tables; skeleton_form takes them as given
+    for d, r, length in ((97, 3, 30), (13, 2, 200), (13, 4, 200)):
+        tabs = tabs_of(d, r)
+        for seed in range(8):
+            skeleton, _ = K.skeleton(random_reduced(length, seed))
+            assert K.skeleton_form(skeleton, r, d) == K.eval_word(tabs, skeleton)
+
+
 def test_eval_word_shift_past_int8_range():
     # the skeleton's shifts reach 200 and are plain ints: an int8 shift
     # would wrap at 127
