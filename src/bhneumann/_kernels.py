@@ -22,10 +22,14 @@ d points), but not in general: at (d, r) = (5, 2), aBaB has s = 2 and
 sigma = rho^-2, so P is the identity.  ``canonical_form`` picks the one
 (s, sigma) of each P, so equal images have equal forms.
 
-A word's *b-skeleton* is the shift and letter code of each b or B it
-reads, plus its final shift; ``skeleton`` reads it, rejecting letters
-outside aAbB.  ``skeleton_form`` applies only its 3-cycles, so one
-reading serves every coordinate at O(number of b letters) each.
+A word's *b-skeleton* is the shift and letter code of each b or B of
+its free reduction, plus its final shift.  Free reduction never moves
+a surviving letter's shift, so ``skeleton`` reads it from the raw word
+in one pass, cancelling inverse b/B pairs as it goes and rejecting
+letters outside aAbB.  ``skeleton_form`` applies only its 3-cycles, so
+one reading serves every coordinate at O(number of b letters) each.
+The pairs (t_1, ...), t_k and final shift s give the reduced length:
+k + |t_1| + sum |t_i - t_(i-1)| + |s - t_k| (|s| when k = 0).
 
 Shared conventions:
 
@@ -130,19 +134,38 @@ def eval_word(tabs: memoryview, skeleton: list[tuple[int, int]]) -> dict:
 
 
 def skeleton(word: str) -> tuple[list[tuple[int, int]], int]:
-    """The word's b-skeleton: (shift, code) per b (2) or B (3), and the final shift."""
+    """The reduced word's b-skeleton: (shift, code) per b (2) or B (3), and the final shift.
+
+    Reduces as it reads: a b or B whose pair is the inverse of the pair
+    on top of the stack, (shift, code ^ 1), pops it.  The letters read
+    since that pair are a/A letters and cancelled pairs with a-exponent
+    sum 0, so they reduce away and the two letters meet.  The result is
+    the skeleton of ``words.free_reduce(word)``.
+    """
     s = 0
     pairs = []
     append = pairs.append
+    pop = pairs.pop
+    top = None  # pairs[-1], or None while pairs is empty
     for ch in word:
         if ch == "a":
             s += 1
         elif ch == "A":
             s -= 1
         elif ch == "b":
-            append((s, 2))
+            if top == (s, 3):
+                pop()
+                top = pairs[-1] if pairs else None
+            else:
+                top = (s, 2)
+                append(top)
         elif ch == "B":
-            append((s, 3))
+            if top == (s, 2):
+                pop()
+                top = pairs[-1] if pairs else None
+            else:
+                top = (s, 3)
+                append(top)
         else:
             raise ValueError(f"letter {ch!r} is not one of aAbB")
     return pairs, s

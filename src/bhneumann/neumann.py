@@ -33,7 +33,7 @@ from .perm import Permutation, check_generators
 from .seqgen import SequenceSet
 from .words import commutator as word_commutator
 from .words import conjugate as word_conjugate
-from .words import enumerate_reduced, free_reduce, invert
+from .words import enumerate_reduced, invert
 from .wreath import WreathElement, w_eval
 
 __all__ = [
@@ -222,8 +222,9 @@ def _lamp_span(skeleton: list[tuple[int, int]], shift: int) -> int | None:
 
     The lamp state is trivial when the shift ends at 0 and every lamp,
     1 per b plus 2 per B at its shift, is 0 mod 3.  The b-span is
-    max - min of the skeleton's shifts, 0 if it has none; it depends on
-    the word as written, so callers pass the reduced word's skeleton.
+    max - min of the skeleton's shifts, 0 if it has none; it is the
+    reduced word's span, since ``_kernels.skeleton`` reads the reduced
+    word's pairs.
     """
     if shift:
         return None
@@ -243,27 +244,28 @@ def _identity_at(ctx: GroupContext, skeleton: list[tuple[int, int]], m: int) -> 
 def is_trivial(ctx: GroupContext, word: str) -> bool:
     """Exact word problem: lamp state plus coordinates up to the span cutoff.
 
-    After free reduction, a word with nontrivial lamp state is
-    nontrivial.  Otherwise its shift is 0 and, at every coordinate, its
-    image is the product, in word order, of the 3-cycles
-    tau_i = (i, i+r, i+2r) mod d, or their inverses, over the shifts i at
-    which it reads b or B.  Let W be the span (max - min) of those
-    shifts.  For two of them, i != j, the supports of tau_i and tau_j
-    meet only if i - j = 0, +-r or +-2r (mod d).  With |i - j| <= W,
-    r > W and d - 2r > W, none of these can hold, so all the tau_i
-    commute and the image is the product of tau_i to the power of the
-    lamp at i, which is the identity because every lamp is 0.  So only the coordinates up to
-    span_cutoff(W) can see the word, and exactly those are checked.
+    The word is read once, reducing as it goes, into the b-skeleton of
+    its free reduction (``_kernels.skeleton``); no reduced string is
+    built.  A word with nontrivial lamp state is nontrivial.  Otherwise
+    its shift is 0 and, at every coordinate, its image is the product,
+    in word order, of the 3-cycles tau_i = (i, i+r, i+2r) mod d, or
+    their inverses, over the shifts i at which the reduced word reads b
+    or B.  Let W be the span (max - min) of those shifts.  For two of
+    them, i != j, the supports of tau_i and tau_j meet only if
+    i - j = 0, +-r or +-2r (mod d).  With |i - j| <= W, r > W and
+    d - 2r > W, none of these can hold, so all the tau_i commute and the
+    image is the product of tau_i to the power of the lamp at i, which
+    is the identity because every lamp is 0.  So only the coordinates up
+    to span_cutoff(W) can see the word, and exactly those are checked.
 
     On a preset the answer is for the tower whose first coordinates are
     the preset's and whose later ones clear every span (see
     SequenceSet.preset): the lamp state still decides, so a word that is
     the identity at every preset coordinate can be nontrivial.
     """
-    w = free_reduce(word)
-    if not w:
+    skeleton, shift = _kernels.skeleton(word)
+    if not skeleton and not shift:  # the word reduces to the empty word
         return True
-    skeleton, shift = _kernels.skeleton(w)
     span = _lamp_span(skeleton, shift)
     if span is None:
         return False
@@ -281,24 +283,32 @@ def equal(ctx: GroupContext, u: str, v: str) -> bool:
 def signature(ctx: GroupContext, word: str, n_class: int) -> ElementSignature:
     """Fingerprint of a word of length <= n_class; see ElementSignature.
 
-    Reads the reduced word once into its b-skeleton, then at each
-    coordinate up to cutoff(2 * n_class) applies only the skeleton's
-    3-cycles (_kernels.skeleton_form) and keeps the canonical form.
-    Every coordinate's (d, r) passes check_generators first
+    Reads the word once, reducing as it goes, into the b-skeleton of its
+    free reduction (_kernels.skeleton).  The class bound is checked on
+    the reduced length, which the skeleton gives: one letter per pair
+    plus the shift steps between them.  Then at each coordinate up to
+    cutoff(2 * n_class) it applies only the skeleton's 3-cycles
+    (_kernels.skeleton_form) and keeps the canonical form.  The lamp
+    state is w_eval of the word as given, which free reduction does not
+    change.  Every coordinate's (d, r) passes check_generators first
     (GroupContext.generator_pairs), so a preset outside the precondition
     raises InvalidGenerators or DegreeTooLarge.
     """
-    w = free_reduce(word)
-    if len(w) > n_class:
+    skeleton, shift = _kernels.skeleton(word)
+    length, t0 = len(skeleton), 0
+    for t, _ in skeleton:
+        length += abs(t - t0)
+        t0 = t
+    length += abs(shift - t0)
+    if length > n_class:
         raise ValueError(
-            f"word of reduced length {len(w)} exceeds the class bound {n_class}"
+            f"word of reduced length {length} exceeds the class bound {n_class}"
         )
-    skeleton, shift = _kernels.skeleton(w)
     coords = []
     for d, r in ctx.generator_pairs(cutoff(ctx, 2 * n_class)):
         s, sigma = _kernels.canonical_form(d, shift, _kernels.skeleton_form(skeleton, r, d))
         coords.append((d, s, tuple(sorted(sigma.items()))))
-    return ElementSignature(tuple(coords), w_eval(w), n_class)
+    return ElementSignature(tuple(coords), w_eval(word), n_class)
 
 
 def _witness_word(r: int) -> str:

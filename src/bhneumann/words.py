@@ -1,9 +1,11 @@
 """Free words on two generators.
 
 Words are plain strings over the alphabet ``a A b B`` where the upper
-case letter is the inverse of the lower case one.  The coordinate
-kernels read words as lists of integer letter codes a=0, A=1, b=2, B=3,
-chosen so that ``code ^ 1`` is the code of the inverse letter.
+case letter is the inverse of the lower case one.  The word problem
+reads words through ``_kernels.skeleton``, which reduces as it reads;
+``free_reduce`` serves the word builders here.  The random-word kernel
+reads integer letter codes a=0, A=1, b=2, B=3, chosen so that
+``code ^ 1`` is the code of the inverse letter.
 """
 
 from __future__ import annotations
@@ -20,11 +22,16 @@ _MASK64 = (1 << 64) - 1
 # alphabet order.
 _SUCCESSORS = {c: "".join(x for x in ALPHABET if x != INVERSE_OF[c]) for c in ALPHABET}
 
+# str.translate tables: drop the alphabet, or swap each letter with its inverse
+_DROP_ALPHABET = str.maketrans("", "", ALPHABET)
+_SWAP_INVERSE = str.maketrans(INVERSE_OF)
+
 
 def _check_letters(word: str) -> None:
-    for ch in word:
-        if ch not in CODE_OF:
-            raise ValueError(f"letter {ch!r} is not one of aAbB")
+    """Raise ValueError naming the first letter outside aAbB, if any."""
+    bad = word.translate(_DROP_ALPHABET)
+    if bad:
+        raise ValueError(f"letter {bad[0]!r} is not one of aAbB")
 
 
 def free_reduce(word: str) -> str:
@@ -50,9 +57,9 @@ def is_reduced(word: str) -> bool:
 
 
 def invert(word: str) -> str:
-    """Inverse word: reversed letters, each inverted."""
+    """Inverse word: reversed letters, each inverted, in two ``str.translate`` passes."""
     _check_letters(word)
-    return "".join(INVERSE_OF[c] for c in reversed(word))
+    return word[::-1].translate(_SWAP_INVERSE)
 
 
 def commutator(g: str, h: str) -> str:

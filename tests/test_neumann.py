@@ -3,6 +3,7 @@
 import importlib.util
 import random
 import struct
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -323,10 +324,11 @@ def test_letter_tables_and_generator_pairs_reject_nonpositive_indices(toy_seqs):
 @pytest.mark.parametrize("call", [
     lambda ctx: is_trivial(ctx, "abx"),
     lambda ctx: equal(ctx, "abx", "ab"),
+    lambda ctx: equal(ctx, "ab", "abx"),
     lambda ctx: signature(ctx, "abx", 3),
     lambda ctx: coordinate_eval(ctx, "abx", 1),
     lambda ctx: _kernels.skeleton("abx"),
-], ids=["is_trivial", "equal", "signature", "coordinate_eval", "skeleton"])
+], ids=["is_trivial", "equal", "equal_inverted", "signature", "coordinate_eval", "skeleton"])
 def test_word_readers_reject_letters_outside_the_alphabet(toy_ctx, call):
     with pytest.raises(ValueError, match="'x'"):
         call(toy_ctx)
@@ -482,7 +484,7 @@ def test_reader_matches_lamp_state_span_and_codes():
         w = free_reduce(word)
         trivial = w_eval(word).is_identity()
         for x in (w, word):
-            assert _kernels.skeleton(x) == skeleton_of_codes(to_codes(x)), x
+            assert _kernels.skeleton(x) == skeleton_of_codes(to_codes(free_reduce(x))), x
         skeleton, shift = _kernels.skeleton(w)
         assert neumann._lamp_span(skeleton, shift) == (b_shift_span(w) if trivial else None), word
         seen["trivial" if trivial else "nontrivial"] += 1
@@ -510,6 +512,103 @@ def test_is_trivial_matches_dense_compose_on_toy_and_short_presets(toy_ctx):
             trivial += got
             seen_by_coordinates += lamps_trivial and not got
         assert trivial >= 50 and seen_by_coordinates >= 10
+
+
+def unreduced_words(rng: random.Random, count: int):
+    """Seeded words of length 0-40 with blocks inserted that free reduction must cancel.
+
+    A base word, reduced, lamp-trivial or raw, gets one or more blocks
+    inserted at random places: x x^-1 for x in a, b, a^k b A^k B and
+    a^k b A^k (0 <= k <= 3), or, in bases that are not lamp-trivial,
+    sometimes x alone.
+    """
+    pool = [w for w in (lamp_trivial_word(rng) for _ in range(600)) if len(w) <= 28]
+    for _ in range(count):
+        kind = rng.randrange(3)
+        if kind == 0:
+            w = random_reduced(rng.randint(0, 28), rng.randrange(2**32))
+        elif kind == 1:
+            w = rng.choice(pool)
+        else:
+            w = "".join(rng.choice("aAbB") for _ in range(rng.randint(0, 28)))
+        while True:
+            k = rng.randint(0, 3)
+            x = rng.choice(("a", "b", "a" * k + "b" + "A" * k + "B", "a" * k + "b" + "A" * k))
+            block = x if kind != 1 and rng.random() < 0.3 else x + invert(x)
+            if len(w) + len(block) > 40:
+                break
+            pos = rng.randint(0, len(w))
+            w = w[:pos] + block + w[pos:]
+            if rng.random() < 0.5:
+                break
+        yield w
+
+
+def test_reducing_reader_matches_free_reduce_then_read(toy_ctx, monkeypatch):
+    # skeleton and is_trivial of a raw word against the same calls on its
+    # free reduction, signature on every 4th word; dense perm.compose on
+    # the raw word decides is_trivial on the short presets for every 10th
+    # word and on the toy head for every 50th, and coordinate_eval on the
+    # short presets for every 40th
+    rng = random.Random(23)
+    words = list(unreduced_words(rng, 20_000))
+    toy_head = SequenceSet.preset(
+        [toy_ctx.degree(m) for m in range(1, 26)], [toy_ctx.offset(m) for m in range(1, 26)]
+    )
+    short_a = SequenceSet.preset([11, 13], [2, 3])
+    short_b = SequenceSet.preset([7, 17, 19], [3, 2, 5])
+    contexts = ((toy_ctx, toy_head), (GroupContext(short_a), short_a),
+                (GroupContext(short_b), short_b))
+    seen = {"unreduced": 0, "trivial": 0, "lamp_trivial_nontrivial": 0, "dense": 0}
+    answers = []
+    for i, w in enumerate(words):
+        assert len(w) <= 40
+        reduced = free_reduce(w)
+        assert _kernels.skeleton(w) == skeleton_of_codes(to_codes(reduced)), w
+        lamps_trivial = w_eval(w).is_identity()
+        row = []
+        for ctx, seqs in contexts:
+            got = is_trivial(ctx, w)
+            assert got == is_trivial(ctx, reduced), (seqs, w)
+            if i % (50 if seqs is toy_head else 10) == 0:
+                # a lamp-trivial word of length <= 40 has span <= 20, and on
+                # toy span_cutoff(W) <= W: toy's first 25 coordinates decide
+                assert got == (lamps_trivial and dense_trivial(seqs, w)), (seqs, w)
+                seen["dense"] += 1
+            row.append(got)
+        answers.append(row)
+        n = len(reduced)
+        if n:
+            with pytest.raises(ValueError, match=f"reduced length {n} exceeds"):
+                signature(toy_ctx, w, n - 1)
+        if i % 4 == 0:
+            assert signature(contexts[2][0], w, n) == signature(contexts[2][0], reduced, n), w
+        if i % 40 == 0:
+            for ctx, seqs in contexts[1:]:
+                for m, p in enumerate(dense_images(seqs, w), 1):
+                    assert coordinate_eval(ctx, w, m) == p, (seqs, w, m)
+        seen["unreduced"] += reduced != w
+        seen["trivial"] += row[0]
+        seen["lamp_trivial_nontrivial"] += lamps_trivial and not row[0]
+    assert seen["unreduced"] >= 15_000 and seen["dense"] == 4400, seen
+    assert seen["trivial"] >= 1500 and seen["lamp_trivial_nontrivial"] >= 1000, seen
+
+    # one pass: no call reaches words.free_reduce, under any name that binds it
+    def no_free_reduce(word):
+        raise AssertionError("free_reduce called")
+
+    original = free_reduce
+    for mod in list(sys.modules.values()):
+        name = getattr(mod, "__name__", "")
+        if (name == "bhneumann" or name.startswith("bhneumann.")) and \
+                getattr(mod, "free_reduce", None) is original:
+            monkeypatch.setattr(mod, "free_reduce", no_free_reduce)
+    assert sys.modules["bhneumann.words"].free_reduce is no_free_reduce
+    for w, row in zip(words[:2000], answers):
+        k = len(w) // 2
+        for (ctx, _), want in zip(contexts, row):
+            assert is_trivial(ctx, w) == want
+            assert equal(ctx, w[:k], invert(w[k:])) == want
 
 
 def perfbench_trivial_word(rng: random.Random, maxlen: int) -> str:
@@ -613,6 +712,8 @@ def test_word_problem_refuses_presets_outside_the_generator_precondition():
                 call()
             assert isinstance(exc.value, BHNeumannError)
             assert isinstance(exc.value, ValueError)
+        # a word that reduces to the empty word is trivial before any coordinate is read
+        assert is_trivial(ctx, "") and is_trivial(ctx, "abBA") and equal(ctx, "bAa", "b")
         assert ctx._tabs == {}
     # r = 0 makes the witness word collapse before any coordinate is read
     with pytest.raises(WitnessCheckFailed):

@@ -1,5 +1,7 @@
 """Free reduction, enumeration and sampling over {a, A, b, B}."""
 
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -54,6 +56,23 @@ def test_invert():
     assert W.invert("ab") == "BA"
     assert W.invert("") == ""
     assert W.invert("aBa") == "AbA"
+
+
+def test_invert_matches_the_per_letter_rule():
+    rng = random.Random(17)
+    for _ in range(3000):
+        w = "".join(rng.choice("aAbB") for _ in range(rng.randint(0, 60)))
+        assert W.invert(w) == "".join(W.INVERSE_OF[c] for c in reversed(w))
+        assert W.invert(W.invert(w)) == w
+
+
+@pytest.mark.parametrize("word, bad", [("abxy", "x"), ("y", "y"), ("aAbBé", "é"), ("ab c", " ")])
+def test_letter_checks_name_the_first_bad_letter(word, bad):
+    message = f"letter {bad!r} is not one of aAbB"
+    for read in (W.invert, W.to_codes, W.is_reduced, W.free_reduce):
+        with pytest.raises(ValueError) as exc:
+            read(word)
+        assert str(exc.value) == message
 
 
 def test_commutator_convention():
