@@ -112,10 +112,8 @@ def _append_b(sigma: dict, lamps: dict | None, s: int, r: int, d: int, c: int) -
             del lamps[s]
 
 
-def _fails(s: int, sigma: dict, lamps: dict, r: int, d: int) -> bool:
-    """Whether a word fails either check of ``scan_tree``."""
-    if (s % d == 0 and not sigma) != (s == 0 and not lamps):
-        return True
+def _differs(sigma: dict, lamps: dict, r: int, d: int) -> bool:
+    """Whether sigma differs from the lamp overlay."""
     overlay = {}
     for i in sorted(lamps):
         x, y, z = i % d, (i + r) % d, (i + 2 * r) % d
@@ -126,6 +124,11 @@ def _fails(s: int, sigma: dict, lamps: dict, r: int, d: int) -> bool:
         overlay[z] = x
     # neither map stores a fixed point, so dict equality is pointwise equality
     return sigma != overlay
+
+
+def _fails(s: int, sigma: dict, lamps: dict, d: int, differs: bool) -> bool:
+    """Whether a word fails either check of ``scan_tree``; differs is ``_differs``."""
+    return differs or (s % d == 0 and not sigma) != (s == 0 and not lamps)
 
 
 def eval_word(tabs: memoryview, skeleton: list[tuple[int, int]]) -> dict:
@@ -237,26 +240,29 @@ def scan_tree(tabs: memoryview, r: int, max_depth: int) -> tuple[int, int]:
     lamps: dict[int, int] = {}
     nodes = fails = 0
 
-    def visit(depth: int, last: int, s: int) -> None:
+    def visit(depth: int, last: int, s: int, differs: bool) -> None:
         nonlocal nodes, fails
         for c in range(4):
             if c == last ^ 1:
                 continue
             nodes += 1
             if c < 2:
+                # a or A moves neither sigma nor the lamps: the parent's
+                # overlay comparison stands
                 t = s + 1 - 2 * c
-                fails += _fails(t, sigma, lamps, r, d)
+                fails += _fails(t, sigma, lamps, d, differs)
                 if depth < max_depth:
-                    visit(depth + 1, c, t)
+                    visit(depth + 1, c, t, differs)
             else:
                 _append_b(sigma, lamps, s, r, d, c)
-                fails += _fails(s, sigma, lamps, r, d)
+                child = _differs(sigma, lamps, r, d)
+                fails += _fails(s, sigma, lamps, d, child)
                 if depth < max_depth:
-                    visit(depth + 1, c, s)
+                    visit(depth + 1, c, s, child)
                 _append_b(sigma, lamps, s, r, d, c ^ 1)
 
     if max_depth > 0:
-        visit(1, -1, 0)
+        visit(1, -1, 0, False)
     return nodes, fails
 
 
@@ -281,5 +287,5 @@ def check_random_words(tabs: memoryview, r: int, codes2d) -> tuple[int, int]:
                 s += 1 - 2 * c
             else:
                 _append_b(sigma, lamps, s, r, d, c)
-        fails += _fails(s, sigma, lamps, r, d)
+        fails += _fails(s, sigma, lamps, d, _differs(sigma, lamps, r, d))
     return len(rows), fails

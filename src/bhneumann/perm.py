@@ -57,15 +57,22 @@ def identity(d: int) -> Permutation:
     return Permutation(range(d))
 
 
+def _trusted(images: tuple[int, ...]) -> Permutation:
+    """A Permutation of images known to be one, built without the check."""
+    p = object.__new__(Permutation)
+    object.__setattr__(p, "images", images)
+    return p
+
+
 def compose(p: Permutation, q: Permutation) -> Permutation:
     """(p * q)(x) = p(q(x)); q applies first."""
     if p.degree != q.degree:
         raise ValueError("degrees differ")
-    return Permutation(compose_images(p.images, q.images))
+    return _trusted(compose_images(p.images, q.images))
 
 
 def inverse(p: Permutation) -> Permutation:
-    return Permutation(inverse_images(p.images))
+    return _trusted(inverse_images(p.images))
 
 
 def power(p: Permutation, k: int) -> Permutation:

@@ -18,15 +18,22 @@ level up to j.  Two facts carry the module:
 
 So a build stops as soon as the product reaches the parity bound, d!/2
 for even generators and d! otherwise (a standard exact stop; Seress,
-*Permutation Group Algorithms*, 2003, section 4.5).  A group below the
-bound is completed by the verification sweep, which sifts each Schreier
-generator until it first sifts to the identity and never again.
+*Permutation Group Algorithms*, 2003, sections 4.3 and 4.5).  When the
+generators alone fall short, a random fill sifts a seeded
+product-replacement stream of group elements and attaches each
+residue.  It stays exact: every element sifted is a product of the
+generators, so the orbit product still never exceeds the group order,
+and reaching the bound still proves the chain complete.  The fill stops
+at the bound or after a run of sifts that reach the identity.  A group
+below the bound is then completed by the verification sweep, which
+sifts each Schreier generator until it first sifts to the identity and
+never again; at the bound the sweep returns at once.
 
 The chain is plain Python and meant for small degrees: it runs in the
 CLI only for d <= 13, and Alt(d) at the tower's degrees is certified by
 the ladder bound instead.  Everything is deterministic: insertion order,
-orbit growth order and the verification sweep are all fixed functions
-of the input.
+orbit growth order, the fill (splitmix64 seeded with the degree) and
+the verification sweep are all fixed functions of the input.
 """
 
 from __future__ import annotations
@@ -34,6 +41,7 @@ from __future__ import annotations
 import math
 
 from .perm import Permutation, compose_images, inverse_images, is_even, make_generators
+from .words import splitmix64
 
 __all__ = [
     "StabilizerChain",
@@ -173,16 +181,22 @@ class StabilizerChain:
                 self._add_gen_at(li, residue)
 
 
-def build_chain(generators: list[Permutation]) -> StabilizerChain:
-    """Deterministic, complete stabilizer chain for the inputs' group.
+# The fill stops after this many sifts in a row reach the identity.
+_FILL_STREAK = 30
+# Size of the product-replacement pool: the generators, repeated.
+_FILL_POOL = 10
 
-    The group lies in Alt(d) when every generator is even and in Sym(d)
-    otherwise, so |Alt(d)| (1 at d = 1) or d! bounds its order.  The
-    build stops as soon as the transversal product reaches that bound,
-    which is exact because the product never exceeds the group order.
-    A proper subgroup of the bound never reaches it and is completed by
-    the full verification sweep, which is exact but meant for small
-    degrees.
+
+def _filled_chain(generators: list[Permutation]) -> tuple[StabilizerChain, int]:
+    """The chain before its sweep, and the parity bound on the group order.
+
+    The generators are inserted until the product reaches the bound.
+    If they fall short, a product-replacement stream of group elements
+    is sifted and each residue attached, until the product reaches the
+    bound or _FILL_STREAK sifts in a row reach the identity.  The stream
+    is splitmix64 seeded with the degree: a pool of generator copies,
+    where each step replaces a random entry by its product with another
+    and multiplies the running element by the new entry.
     """
     if not generators:
         raise ValueError("at least one generator is required")
@@ -197,9 +211,42 @@ def build_chain(generators: list[Permutation]) -> StabilizerChain:
     for g in generators:
         chain._insert(g.images)
         if chain.order() == bound:
-            break
-    else:
-        chain._verify_sweep(bound)
+            return chain, bound
+    size = max(len(generators), _FILL_POOL)
+    pool = [generators[k % len(generators)].images for k in range(size)]
+    element = chain.identity
+    state, streak = degree, 0
+    while streak < _FILL_STREAK:
+        state, z = splitmix64(state)
+        i = z % size
+        j = (i + 1 + (z >> 32) % (size - 1)) % size  # any index but i
+        pool[i] = compose_images(pool[i], pool[j])
+        element = compose_images(element, pool[i])
+        residue, li = chain._sift(element)
+        if residue is None:
+            streak += 1
+        else:
+            streak = 0
+            chain._add_gen_at(li, residue)
+            if chain.order() == bound:
+                break
+    return chain, bound
+
+
+def build_chain(generators: list[Permutation]) -> StabilizerChain:
+    """Deterministic, complete stabilizer chain for the inputs' group.
+
+    The group lies in Alt(d) when every generator is even and in Sym(d)
+    otherwise, so |Alt(d)| (1 at d = 1) or d! bounds its order.  The
+    generators and then a seeded random fill grow the chain, and the
+    build stops as soon as the transversal product reaches that bound,
+    which is exact because the product never exceeds the group order.
+    A proper subgroup of the bound never reaches it and is completed by
+    the full verification sweep, which is exact but meant for small
+    degrees.
+    """
+    chain, bound = _filled_chain(generators)
+    chain._verify_sweep(bound)
     chain.complete = True
     return chain
 

@@ -182,3 +182,13 @@ def test_check_random_words_takes_code_lists():
     for d, r in ((13, 2), (83, 11)):
         tabs = tabs_of(d, r)
         assert K.check_random_words(tabs, r, lists) == K.check_random_words(tabs, r, batch)
+
+
+@pytest.mark.parametrize("d,r", [(13, 2), (5, 2), (7, 2), (11, 3), (83, 11)])
+def test_scan_tree_counts_as_each_word_checked_alone(d, r):
+    # check_random_words rebuilds the lamp overlay for every word, where
+    # scan_tree rebuilds it only below b and B; depth 5 puts a and A
+    # below the first colliding b nodes (such as "baab" at r = 2)
+    words = [to_codes(w) for w in enumerate_reduced(5, order="dfs")][1:]
+    tabs = tabs_of(d, r)
+    assert K.scan_tree(tabs, r, 5) == K.check_random_words(tabs, r, words)

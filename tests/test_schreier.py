@@ -121,15 +121,12 @@ def test_build_chain_validation():
         S.build_chain([P.identity(5), P.identity(6)])
 
 
-def reference_chain(gens: list[P.Permutation]) -> S.StabilizerChain:
-    """The chain by a rescanning, unbounded sweep.
+def reference_sweep(chain: S.StabilizerChain) -> S.StabilizerChain:
+    """Complete chain by a rescanning, unbounded sweep, in place.
 
     Every pass over a level sifts all of its Schreier generators again,
     and the sweep runs to the end whatever the order already is.
     """
-    chain = S.StabilizerChain(gens[0].degree)
-    for g in gens:
-        chain._insert(g.images)
 
     def first_residue(li):
         lv = chain.levels[li]
@@ -153,6 +150,20 @@ def reference_chain(gens: list[P.Permutation]) -> S.StabilizerChain:
     return chain
 
 
+def reference_chain(gens: list[P.Permutation]) -> S.StabilizerChain:
+    """The reference sweep from where build_chain's sweep starts: the
+    generators and the seeded fill of ``_filled_chain``."""
+    return reference_sweep(S._filled_chain(gens)[0])
+
+
+def bare_chain(gens: list[P.Permutation]) -> S.StabilizerChain:
+    """The generators inserted, with no fill."""
+    chain = S.StabilizerChain(gens[0].degree)
+    for g in gens:
+        chain._insert(g.images)
+    return chain
+
+
 def levels_of(chain: S.StabilizerChain) -> list:
     return [(lv.point, list(lv.pts), lv.gens) for lv in chain.levels]
 
@@ -162,25 +173,86 @@ def affine_7(a: int) -> list[P.Permutation]:
     return [P.cycle_from(range(7), 7), P.Permutation([a * x % 7 for x in range(7)])]
 
 
-@pytest.mark.parametrize(
-    "gens,want",
-    [
-        (affine_7(3), 42),  # AGL(1, 7): 3 is a primitive root, so odd
-        (affine_7(2), 21),  # the Frobenius group of order 21, even
-        ([P.cycle_from([0, 1, 2], 7), P.cycle_from([3, 4, 5], 7)], 9),
-        # odd generators: the bound is 5!, and the chain must not stop at 60
-        ([P.cycle_from(range(5), 5), P.cycle_from([0, 1], 5)], 120),
-        (list(P.make_generators(5, 2, 2)), 60),
-        (list(P.make_generators(7, 2, 3)), 2520),
-        (list(P.make_generators(11, 3, 3)), math.factorial(11) // 2),
-        (list(P.make_generators(13, 4, 4)), math.factorial(13) // 2),
-    ],
-)
+SWEEP_CASES = [
+    (affine_7(3), 42),  # AGL(1, 7): 3 is a primitive root, so odd
+    (affine_7(2), 21),  # the Frobenius group of order 21, even
+    ([P.cycle_from([0, 1, 2], 7), P.cycle_from([3, 4, 5], 7)], 9),
+    # odd generators: the bound is 5!, and the chain must not stop at 60
+    ([P.cycle_from(range(5), 5), P.cycle_from([0, 1], 5)], 120),
+    (list(P.make_generators(5, 2, 2)), 60),
+    (list(P.make_generators(7, 2, 3)), 2520),
+    (list(P.make_generators(11, 3, 3)), math.factorial(11) // 2),
+    (list(P.make_generators(13, 4, 4)), math.factorial(13) // 2),
+]
+
+
+@pytest.mark.parametrize("gens,want", SWEEP_CASES)
 def test_chain_matches_the_reference_sweep(gens, want):
     chain = S.build_chain(gens)
     assert chain.complete
     assert S.group_order(chain) == want
     assert levels_of(chain) == levels_of(reference_chain(gens))
+
+
+@pytest.mark.parametrize("gens,want", SWEEP_CASES)
+def test_sweep_alone_matches_the_reference_sweep(gens, want):
+    # from the bare generators the sweep finds the residues itself, so
+    # its skipping of pairs already sifted must miss none of them
+    _, bound = S._filled_chain(gens)
+    chain = bare_chain(gens)
+    chain._verify_sweep(bound)
+    assert chain.order() == want
+    assert levels_of(chain) == levels_of(reference_sweep(bare_chain(gens)))
+
+
+def test_chain_is_a_fixed_function_of_the_generators():
+    for gens in (list(P.make_generators(13, 4, 4)), affine_7(3)):
+        assert levels_of(S.build_chain(gens)) == levels_of(S.build_chain(gens))
+
+
+@pytest.mark.parametrize("d,r", [(11, 3), (13, 4)])
+def test_every_schreier_generator_sifts_to_the_identity(d, r):
+    chain = S.build_chain(list(P.make_generators(d, r, r)))
+    assert S.group_order(chain) == math.factorial(d) // 2
+    for li, lv in enumerate(chain.levels):
+        for x, w in lv.inv_reps.items():
+            u = P.inverse_images(w)
+            for g in lv.gens:
+                schreier = P.compose_images(lv.inv_reps[g[x]], P.compose_images(g, u))
+                assert chain._sift(schreier, li + 1)[0] is None, (li, x)
+
+
+@pytest.mark.parametrize(
+    "gens,want,fill_sifts",
+    [
+        (affine_7(3), 42, 30),
+        (affine_7(2), 21, 30),
+        ([P.cycle_from([0, 1, 2], 7), P.cycle_from([3, 4, 5], 7)], 9, 30),
+        # S5 reaches its bound 5! inside the fill, after 9 sifts
+        ([P.cycle_from(range(5), 5), P.cycle_from([0, 1], 5)], 120, 9),
+    ],
+)
+def test_groups_below_the_bound_stop_the_fill_then_sweep(gens, want, fill_sifts, monkeypatch):
+    sift = S.StabilizerChain._sift
+    calls = []
+
+    def counted(chain, p, start=0):
+        calls.append(start)
+        return sift(chain, p, start)
+
+    monkeypatch.setattr(S.StabilizerChain, "_sift", counted)
+    filled, bound = S._filled_chain(gens)
+    # one sift per generator, then the fill: it ends after _FILL_STREAK
+    # identity sifts in a row, or on reaching the bound
+    assert len(calls) - len(gens) == fill_sifts
+    assert (filled.order() == bound) == (want == bound)
+    monkeypatch.undo()
+    chain = S.build_chain(gens)
+    assert S.group_order(chain) == want == bfs_closure_order(gens)
+    assert_membership_matches_closure(chain, gens)
+    # with no fill at all, the sweep after it still completes the chain
+    monkeypatch.setattr(S, "_FILL_STREAK", 0)
+    assert S.group_order(S.build_chain(gens)) == want
 
 
 def test_degrees_one_and_two():
