@@ -1,6 +1,13 @@
-"""Primality helpers used by the sequence and permutation modules."""
+"""Primality helpers used by the sequence and permutation modules.
+
+is_prime does its trial division by the 13 Miller-Rabin witness primes
+in one step, a gcd with their product; only an n coprime to all of them
+goes on to Miller-Rabin.  next_prime tries odd candidates only.
+"""
 
 from __future__ import annotations
+
+import math
 
 # Deterministic Miller-Rabin witnesses graded by size.  Each row
 # (bound, witnesses) holds the first k primes with psi_k = bound, psi_k
@@ -23,6 +30,7 @@ _MR_TABLE = (
 )
 _MR_LIMIT = _MR_TABLE[-1][0]
 _SMALL_PRIMES = _MR_TABLE[-1][1]
+_PRIMORIAL = math.prod(_SMALL_PRIMES)  # 41# = 304 250 263 527 210
 
 
 def is_prime(n: int) -> bool:
@@ -31,9 +39,8 @@ def is_prime(n: int) -> bool:
         raise ValueError(f"is_prime supports 0 <= n < {_MR_LIMIT}")
     if n < 2:
         return False
-    for p in _SMALL_PRIMES:
-        if n % p == 0:
-            return n == p
+    if math.gcd(n, _PRIMORIAL) != 1:
+        return n in _SMALL_PRIMES
     d = n - 1
     s = 0
     while d % 2 == 0:
@@ -55,9 +62,11 @@ def is_prime(n: int) -> bool:
 
 def next_prime(n: int) -> int:
     """Smallest prime >= n."""
-    k = max(n, 2)
+    if n <= 2:
+        return 2
+    k = n | 1
     while not is_prime(k):
-        k += 1
+        k += 2
     return k
 
 

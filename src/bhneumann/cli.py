@@ -156,16 +156,17 @@ def cmd_build(cfg: RunConfig, report: _Report) -> int:
     seqs.ensure(cfg.n)
     for n in range(1, cfg.n + 1):
         cert = seqs.certificates[n]
+        window_lo, window_hi = cert["window"]
         report.add(
             "sequence",
             {
                 "n": n,
-                "f": seqs.f_of(n),
-                "d": seqs.d_of(n),
+                "f": cert["f"],
+                "d": cert["d"],
                 "q": cert["q"],
-                "r": seqs.r_of(n),
-                "window_lo": cert["window"][0],
-                "window_hi": cert["window"][1],
+                "r": cert["r"],
+                "window_lo": window_lo,
+                "window_hi": window_hi,
                 "rejected": cert["rejected"],
             },
         )

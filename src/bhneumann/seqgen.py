@@ -13,14 +13,16 @@ admissibility conditions against all earlier indices m < n:
 The window is sieved, not scanned candidate by candidate.  Condition (a)
 does not depend on n, so one bytearray over k in [0, H] carries it for
 the whole sequence: each derived index marks its four residues with one
-strided slice per residue, and when a window edge passes H the array
-doubles and only the new stretch is marked.  Condition (b) is tested
-only at the positions (a) leaves open, which bytearray.find walks in
-order: k is rejected when +-k or +-2k (mod d(n)) is an earlier offset
-(taken mod d(n) once some offset reaches d(n)).  The first position
-neither condition blocks is r(n), and its place in the window is the
-number of rejected candidates, so equal inputs always give equal
-sequences.  Everything is exact Python integer arithmetic, whatever the
+strided slice per residue.  ensure(N) sizes the array to the last window
+edge 18N - 1 (at most 2^24 positions) before it derives, so each residue
+is marked once; only growth one index at a time makes a window edge pass
+H, and then the array doubles and only the new stretch is marked.
+Condition (b) is tested only at the positions (a) leaves open, which
+bytearray.find walks in order: k is rejected when +-k or +-2k (mod d(n))
+is an earlier offset (taken mod d(n) once some offset reaches d(n)).
+The first position neither condition blocks is r(n), and its place in
+the window is the number of rejected candidates, so equal inputs always
+give equal sequences.  Everything is exact Python integer arithmetic, whatever the
 size of the moduli.
 """
 
@@ -209,16 +211,26 @@ def _pairwise_violations(D: list[int], R: list[int]) -> list[int]:
     return counts
 
 
+# Cap on the positions ensure sizes the offset sieve to up front, so a
+# request far past the index where a profile stops (toy stops at 4593)
+# allocates no more than 16 MB before the error; a sieve that really
+# reaches past it doubles as it goes.
+_PRESIZE_LIMIT = 1 << 24
+
+
 class _OffsetSieve:
     """Blocked window positions for the greedy offset search.
 
     Condition (a) depends only on k and on the indices already added, so
     it lives in one persistent bytearray over k in [0, H], a nonzero byte
     marking a blocked k.  Each added index marks its residues +-r, +-2r
-    (mod d) once; when a window reaches past H, the array doubles and
-    only the new stretch is marked, for every stored residue.  Condition
-    (b) depends on the modulus of the index being derived and is tested
-    against the set of added offsets, position by position.
+    (mod d) up to H.  SequenceSet.ensure sizes the array once, to the
+    last window it will scan, so a single ensure marks each residue once.
+    When a window still reaches past H (growth one index at a time), the
+    array doubles and only the new stretch is marked, for every stored
+    residue.  Condition (b) depends on the modulus of the index being
+    derived and is tested against the set of added offsets, position by
+    position.
     """
 
     def __init__(self) -> None:
@@ -230,7 +242,9 @@ class _OffsetSieve:
     def _mark(self, c: int, d: int, lo: int) -> None:
         """Block every k in (lo, H] with k = c (mod d)."""
         first = lo + 1 + (c - lo - 1) % d
-        self._blocked[first::d] = b"\x01" * len(range(first, len(self._blocked), d))
+        count = (len(self._blocked) - 1 - first) // d + 1
+        if count > 0:
+            self._blocked[first::d] = b"\x01" * count
 
     def add(self, d: int, r: int) -> None:
         """Record index (d, r): mark its condition (a) residues up to H."""
@@ -345,6 +359,9 @@ class SequenceSet:
                     f"preset tables end at index {len(self._d)}"
                 )
             return
+        if len(self._d) < n:
+            # size to the last window edge: each residue is marked once
+            self._sieve._grow(min(18 * n - 1, _PRESIZE_LIMIT))
         while len(self._d) < n:
             self._derive(len(self._d) + 1)
 

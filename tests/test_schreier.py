@@ -205,6 +205,31 @@ def test_sweep_alone_matches_the_reference_sweep(gens, want):
     assert levels_of(chain) == levels_of(reference_sweep(bare_chain(gens)))
 
 
+@pytest.mark.parametrize(
+    "images,want",
+    [
+        # two even generators, orbits {0, 2} and {1, 3, 4, 5, 6}
+        ([[2, 3, 0, 1, 6, 4, 5], [0, 1, 2, 5, 4, 6, 3]], 120),
+        # orbits {0, 3} and {1, 2, 4, 5, 6}
+        ([[3, 5, 6, 0, 2, 1, 4], [3, 6, 2, 0, 5, 1, 4]], 120),
+    ],
+)
+def test_sweep_alone_resumes_a_point_after_its_residue(images, want):
+    # from the bare generators, some residue comes only from a pair after
+    # the one that gave an earlier residue at the same orbit point; a
+    # sweep that recorded the whole point as sifted at that earlier
+    # residue would stop at order 48 (first case) or 24 (second).  Found
+    # by a seeded search over degree 6-8 sets of 2-3 generators.
+    gens = [P.Permutation(im) for im in images]
+    _, bound = S._filled_chain(gens)
+    chain = bare_chain(gens)
+    chain._verify_sweep(bound)
+    chain.complete = True
+    assert chain.order() == want == bfs_closure_order(gens)
+    assert levels_of(chain) == levels_of(reference_sweep(bare_chain(gens)))
+    assert_membership_matches_closure(chain, gens)
+
+
 def test_chain_is_a_fixed_function_of_the_generators():
     for gens in (list(P.make_generators(13, 4, 4)), affine_7(3)):
         assert levels_of(S.build_chain(gens)) == levels_of(S.build_chain(gens))

@@ -19,7 +19,7 @@ from bhneumann import (
     sieve,
 )
 from bhneumann._primes import _MR_LIMIT, _MR_TABLE
-from bhneumann.seqgen import _OffsetSieve
+from bhneumann.seqgen import _PRESIZE_LIMIT, _OffsetSieve
 
 
 # --- independent oracles -------------------------------------------------
@@ -134,8 +134,8 @@ def outcome(scan, *args):
 # --- primality -----------------------------------------------------------
 
 def test_is_prime_agrees_with_sieve():
-    flags = sieve_oracle(20_000)
-    for n in range(20_001):
+    flags = sieve_oracle(200_000)
+    for n in range(200_001):
         assert is_prime(n) == bool(flags[n])
 
 
@@ -213,6 +213,35 @@ def test_next_prime():
     assert next_prime(8) == 11
     assert next_prime(100) == 101
     assert next_prime(2) == 2
+
+
+@pytest.mark.parametrize(
+    "n,want",
+    [
+        (-5, 2), (0, 2), (1, 2), (2, 2), (3, 3), (4, 5),
+        (90, 97),  # even start: the odd candidates 91, 93, 95 are composite
+        (97, 97),  # an odd prime is its own answer
+        (91, 97),  # odd composite 7 * 13
+        (2**61 - 2, 2**61 - 1),  # even, right below a Mersenne prime
+    ],
+)
+def test_next_prime_edges(n, want):
+    assert next_prime(n) == want
+
+
+def test_is_prime_past_the_witness_primes():
+    # the gcd with the primorial 2 * 3 * ... * 41 decides the witness
+    # primes and their multiples; composites sharing no factor with it
+    # must still be rejected by Miller-Rabin
+    for p in FIRST_13_PRIMES:
+        assert is_prime(p), p
+        assert not is_prime(p * p), p
+    for n in (2 * 41, 3 * 5 * 7, 2 * 3 * 5 * 7 * 11 * 13, 37 * 41, math.prod(FIRST_13_PRIMES)):
+        assert not is_prime(n), n
+    for n in (43 * 43, 43 * 47, 47 * 53, 43**3, 1_000_003 * 1_000_033):
+        assert not is_prime(n), n
+    for p in (43, 47, 53, 1_000_003):
+        assert is_prime(p), p
 
 
 # --- profiles ------------------------------------------------------------
@@ -425,6 +454,79 @@ def test_sieve_moduli_past_int64_block_their_doubles(d_n):
     # large-modulus indices block 104..196, so the offset is 200
     prior = [(4, 1)] + [(2**89 - 1 if r % 2 else 2**64 - 59, r) for r in range(50, 100)]
     assert sieve_window(100, 120, prior, d_n) == scan_window_oracle(100, 120, prior, d_n) == (200, 99)
+
+
+DERIVATION_PROFILES = pytest.mark.parametrize(
+    "profile,N",
+    [
+        (GrowthProfile.toy(), 300),
+        (GrowthProfile.builtin(), 500),
+        (GrowthProfile.from_table([math.lgamma(30 * n + 120) for n in range(1, 401)]), 400),
+    ],
+    ids=["toy-300", "builtin-500", "table-400"],
+)
+
+
+@DERIVATION_PROFILES
+def test_derivation_paths_agree(profile, N):
+    # one ensure(N), N calls of one index each (the sieve doubles as it
+    # goes), and ensure(a) then ensure(N) derive the same sequences
+    whole = SequenceSet(profile)
+    whole.ensure(N)
+    stepped = SequenceSet(profile)
+    for n in range(1, N + 1):
+        stepped.ensure(n)
+    split = SequenceSet(profile)
+    split.ensure(N // 3)
+    split.ensure(N)
+    for seqs in (stepped, split):
+        assert seqs._f == whole._f
+        assert seqs._d == whole._d
+        assert seqs._r == whole._r
+        assert seqs.certificates == whole.certificates
+        a, b = whole._sieve._blocked, seqs._sieve._blocked
+        common = min(len(a), len(b))
+        assert common >= 18 * N
+        assert a[:common] == b[:common]
+
+
+@DERIVATION_PROFILES
+def test_fresh_ensure_marks_each_residue_once(profile, N, monkeypatch):
+    # ensure sizes the sieve to the last window first, so the residues of
+    # each index are marked once by add and never again by a doubling
+    marks = {"all": 0, "in_grow": 0}
+    growing = []
+    mark, grow = _OffsetSieve._mark, _OffsetSieve._grow
+
+    def counting_mark(self, *args):
+        marks["all"] += 1
+        marks["in_grow"] += bool(growing)
+        return mark(self, *args)
+
+    def flagged_grow(self, hi):
+        growing.append(hi)
+        try:
+            return grow(self, hi)
+        finally:
+            growing.pop()
+
+    monkeypatch.setattr(_OffsetSieve, "_mark", counting_mark)
+    monkeypatch.setattr(_OffsetSieve, "_grow", flagged_grow)
+    seqs = SequenceSet(profile)
+    seqs.ensure(N)
+    assert len(seqs._sieve._blocked) == 18 * N
+    assert marks["in_grow"] == 0
+    assert 0 < marks["all"] <= 4 * N
+
+
+def test_ensure_far_past_the_profile_sizes_the_sieve_within_its_cap():
+    # a one-value table stops at index 2; asking for 10**12 indices must
+    # raise that error, not first allocate 18 * 10**12 sieve positions
+    seqs = SequenceSet(GrowthProfile.from_table([math.lgamma(200)]))
+    with pytest.raises(SequenceConstructionError, match="no value at index 2"):
+        seqs.ensure(10**12)
+    assert seqs.known == 1
+    assert len(seqs._sieve._blocked) == _PRESIZE_LIMIT + 1
 
 
 def test_toy_profile_breaks_at_4593():
