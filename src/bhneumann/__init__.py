@@ -25,10 +25,9 @@ from .words import (
     enumerate_reduced,
     free_reduce,
     invert,
-    is_reduced,
     random_reduced,
 )
-from .wreath import WreathElement, lamp_data, w_eval, w_identity, w_inv, w_mul
+from .wreath import WreathElement, w_eval
 from .perm import (
     Permutation,
     compose,
@@ -91,14 +90,9 @@ __all__ = [
     "enumerate_reduced",
     "free_reduce",
     "invert",
-    "is_reduced",
     "random_reduced",
     "WreathElement",
-    "lamp_data",
     "w_eval",
-    "w_identity",
-    "w_inv",
-    "w_mul",
     "Permutation",
     "compose",
     "cycle_from",

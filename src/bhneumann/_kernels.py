@@ -43,15 +43,16 @@ Shared conventions:
   ``code ^ 1`` is the inverse letter; only ``check_random_words`` walks
   codes (lists of ints, ``words.to_codes``).
 * Words act right to left: the image of l1 l2 ... ln is l1 o ... o ln.
-* Lamp state mirrors the two-generator evaluation on the integer line:
+* Lamp state is ``wreath.lamp_counts`` kept mod 3 letter by letter:
   letter a shifts by +1, A by -1, b adds 1 (mod 3) to the lamp at the
   current shift, B adds 2.  The lamp overlay puts the 3-cycle at
   (i, i+r, i+2r) mod d, or its inverse, at each lit lamp i; lamps are
   written in increasing position, so where supports collide a later
   lamp overwrites an earlier one.
 * Tree scans walk the reduced-word prefix tree in preorder with child
-  order a, A, b, B, skipping the child that cancels the last letter.
-  This matches ``words.enumerate_reduced(order="dfs")`` exactly.
+  order a, A, b, B, skipping the child that cancels the last letter:
+  each word comes right after its longest proper prefix, and siblings
+  in that letter order.
 * Consistency checks require the caller to guarantee support
   separation: r >= 2*depth+1 and d - 2*r >= 2*depth+1 for every depth
   they scan, so distinct lamp overlays never collide.
@@ -72,16 +73,14 @@ ACTIVE = "numpy"
 HAVE_NUMBA = False
 
 
-def tree_node_count(max_depth: int) -> int:
-    """Number of nonempty reduced words of length <= max_depth."""
-    return 2 * (3**max_depth - 1)
-
-
 def _append_b(sigma: dict, lamps: dict | None, s: int, r: int, d: int, c: int) -> None:
     """Append b (c = 2) or B (c = 3) at shift s, in place.
 
     sigma becomes sigma o (x y z) with (x, y, z) = (s, s+r, s+2r) mod d,
     reversed for B; the lamp at s, if lamps is given, turns by c - 1.
+    The lamp step is the incremental form of ``wreath.lamp_counts``,
+    kept mod 3: the tree scan undoes it on the way back up, where a
+    recount from the pair path would cost a pass per node.
     """
     x = s % d
     y = (x + r) % d

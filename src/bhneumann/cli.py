@@ -73,9 +73,6 @@ class RunConfig:
                 f"profile {self.profile!r} does not accept params {sorted(extra)}"
             )
 
-    def to_json(self) -> str:
-        return json.dumps(dataclasses.asdict(self), sort_keys=True)
-
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
         known = {f.name for f in dataclasses.fields(cls)}
@@ -85,13 +82,6 @@ class RunConfig:
         cfg = cls(**data)
         cfg.validate()
         return cfg
-
-    @classmethod
-    def from_json(cls, text: str) -> "RunConfig":
-        data = json.loads(text)
-        if not isinstance(data, dict):
-            raise ValueError("config must be a JSON object")
-        return cls.from_dict(data)
 
 
 def _profile_of(cfg: RunConfig) -> GrowthProfile:

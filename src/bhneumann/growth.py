@@ -13,7 +13,6 @@ import math
 from array import array
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Callable
 
 from .seqgen import GrowthProfile, SequenceSet
 
@@ -48,11 +47,17 @@ class BoundTable:
 
 
 def log_factorial(n: int) -> float:
-    """log(n!) from a cumulative sum of logs up to 10^6, lgamma beyond."""
+    """log(n!) from a cumulative sum of logs up to 10^6, lgamma beyond.
+
+    Past the float range (n near 10^305 and up) it is inf.
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n > _TABLE_LIMIT:
-        return math.lgamma(n + 1)
+        try:
+            return math.lgamma(n + 1)
+        except OverflowError:
+            return math.inf
     top = len(_cumlog)
     if n >= top:
         sums = accumulate(map(math.log, range(top, n + 1)), initial=_cumlog[top - 1])
@@ -157,11 +162,7 @@ def _g_of(log_G: float) -> int:
     return math.ceil(log_G / math.log(log_G))
 
 
-def stirling_check(
-    profile: GrowthProfile | Callable[[int], float],
-    N: int,
-    K: int,
-) -> dict:
+def stirling_check(profile: GrowthProfile, N: int, K: int) -> dict:
     """Empirical implied constants for the factorial expansion bounds.
 
     With g(n) = ceil(log G / log log G), the two claims are
@@ -174,15 +175,16 @@ def stirling_check(
     sided) and its sup.  The check starts at the first n >= 2 where
     logloglog G is positive and passes when the sup is finite and the
     tail is stable: the max ratio over the last tenth of the sampled
-    range must not exceed twice the max over the first nine tenths.
+    range must not exceed twice the max over the first nine tenths.  A
+    row whose errors or terms leave the float range has both ratios
+    inf, so a log G too large for float arithmetic fails the check.
     """
     if K < 1 or N < 3:
         raise ValueError("need K >= 1 and N >= 3")
-    log_G = profile.log_F if isinstance(profile, GrowthProfile) else profile
     rows = []
     start = None
     for n in range(2, N + 1):
-        lg = log_G(n)
+        lg = profile.log_F(n)
         if lg <= math.e**math.e:
             continue
         if start is None:
@@ -194,12 +196,16 @@ def stirling_check(
         term_a = lg * lllg / llg
         err_b = log_factorial(K * n * g) - K * n * lg
         term_b = n * lg * math.log(n) / llg
+        ratio_a = err_a / term_a
+        ratio_b = max(err_b, 0.0) / term_b
+        if not math.isfinite(err_a + err_b + term_a + term_b):
+            ratio_a = ratio_b = math.inf  # past the float range: no finite ratio
         rows.append(
             {
                 "n": n,
                 "g": g,
-                "ratio_a": err_a / term_a,
-                "ratio_b": max(err_b, 0.0) / term_b,
+                "ratio_a": ratio_a,
+                "ratio_b": ratio_b,
                 "sandwich_ok": 1.0 <= g * llg / lg <= 2.0,
             }
         )

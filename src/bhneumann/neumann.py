@@ -6,12 +6,14 @@ full cycle x -> x+1 there and the second to the 3-cycle at
 every coordinate.  Two facts make that decidable:
 
 * The lamp-state evaluation (wreath module) is a quotient of the group.
-  A word with trivial lamp state is, at every coordinate, a product of
-  the 3-cycles tau_i = (i, i+r, i+2r) mod d over the shifts i at which
-  it reads b or B.  If those shifts lie within a span W and both r(m)
-  and d(m) - 2r(m) exceed W, the tau_i pairwise commute and the product
-  collapses to the lamp state, which is trivial: the coordinate cannot
-  tell the word from the identity.
+  The word is read once into its b-skeleton (_kernels.skeleton), and
+  wreath.lamp_counts of that skeleton, the one lamp rule, gives both
+  the lamp check and the shifts at which the word reads b or B.  A word
+  with trivial lamp state is, at every coordinate, a product of the
+  3-cycles tau_i = (i, i+r, i+2r) mod d over those shifts.  If they lie
+  within a span W and both r(m) and d(m) - 2r(m) exceed W, the tau_i
+  pairwise commute and the product collapses to the lamp state, which
+  is trivial: the coordinate cannot tell the word from the identity.
 * The offsets grow past their index, so all but finitely many
   coordinates clear any given span; span_cutoff finds the last one that
   does not and asserts the boundary.
@@ -34,7 +36,7 @@ from .seqgen import SequenceSet
 from .words import commutator as word_commutator
 from .words import conjugate as word_conjugate
 from .words import enumerate_reduced, invert
-from .wreath import WreathElement, w_eval
+from .wreath import WreathElement, lamp_counts, w_eval
 
 __all__ = [
     "GroupContext",
@@ -220,20 +222,18 @@ def _scan_span(ctx: GroupContext, span: int) -> int:
 def _lamp_span(skeleton: list[tuple[int, int]], shift: int) -> int | None:
     """The b-span of a word with trivial lamp state, from its b-skeleton; else None.
 
-    The lamp state is trivial when the shift ends at 0 and every lamp,
-    1 per b plus 2 per B at its shift, is 0 mod 3.  The b-span is
-    max - min of the skeleton's shifts, 0 if it has none; it is the
+    The lamp state is trivial when the shift ends at 0 and every count
+    of wreath.lamp_counts is 0 mod 3.  The b-span is max - min of the
+    counts' keys, the skeleton's shifts, 0 if it has none; it is the
     reduced word's span, since ``_kernels.skeleton`` reads the reduced
     word's pairs.
     """
     if shift:
         return None
-    lamps: dict[int, int] = {}
-    for t, c in skeleton:
-        lamps[t] = lamps.get(t, 0) + c - 1
-    if any(v % 3 for v in lamps.values()):
+    counts = lamp_counts(skeleton)
+    if any(v % 3 for v in counts.values()):
         return None
-    return max(lamps) - min(lamps) if lamps else 0
+    return max(counts) - min(counts) if counts else 0
 
 
 def _identity_at(ctx: GroupContext, skeleton: list[tuple[int, int]], m: int) -> bool:

@@ -131,25 +131,36 @@ class GrowthProfile:
         return cls(kind="table", C2=C2, table_values=tuple(float(v) for v in vals))
 
     def log_F(self, n: int) -> float:
-        """Natural log of the target curve at index n >= 1."""
+        """Natural log of the target curve at index n >= 1.
+
+        A value past the float range, from finite but extreme
+        parameters, raises SequenceConstructionError.
+        """
         if n < 1:
             raise ValueError("index must be >= 1")
-        if self.kind == "toy":
-            return math.lgamma(self.slope * n + self.intercept + 1)
-        if self.kind == "builtin":
-            t = max(n, 16)
-            return self.c * n * math.log(t) ** 2 * math.log(math.log(t)) ** (
-                1.0 + self.eps
-            )
-        if self.kind == "bprime":
-            return self.c * math.exp(math.log(n) ** 2)
         if self.kind == "table":
             if n > len(self.table_values):
                 raise SequenceConstructionError(
                     f"table profile has no value at index {n}"
                 )
             return self.table_values[n - 1]
-        raise SequenceConstructionError(f"unknown profile kind {self.kind!r}")
+        try:
+            if self.kind == "toy":
+                y = math.lgamma(self.slope * n + self.intercept + 1)
+            elif self.kind == "builtin":
+                t = max(n, 16)
+                y = self.c * n * math.log(t) ** 2 * math.log(math.log(t)) ** (
+                    1.0 + self.eps
+                )
+            elif self.kind == "bprime":
+                y = self.c * math.exp(math.log(n) ** 2)
+            else:
+                raise SequenceConstructionError(f"unknown profile kind {self.kind!r}")
+        except OverflowError:
+            y = math.inf
+        if not math.isfinite(y):
+            raise SequenceConstructionError(f"log F({n}) is past the float range")
+        return y
 
 
 def f_of(profile: GrowthProfile, n: int) -> int:
@@ -307,17 +318,12 @@ class SequenceSet:
         self._sieve = _OffsetSieve()
 
     @classmethod
-    def preset(
-        cls,
-        d: Sequence[int],
-        r: Sequence[int],
-        f: Sequence[int] | None = None,
-    ) -> "SequenceSet":
+    def preset(cls, d: Sequence[int], r: Sequence[int]) -> "SequenceSet":
         """Explicit tables for worked examples and tests.
 
         No derivation and no admissibility scanning happens, so the
         tables may violate the construction's own conditions on purpose.
-        Certificates are marked preset.
+        Certificates are marked preset, and f is read as d.
 
         The word problem (neumann.is_trivial, equal, signature) reads a
         preset as the first coordinates of a tower whose later
@@ -339,7 +345,7 @@ class SequenceSet:
         obj.profile = GrowthProfile(kind="table", table_values=(0.0,))
         obj._d = [int(x) for x in d]
         obj._r = [int(x) for x in r]
-        obj._f = [int(x) for x in f] if f is not None else list(obj._d)
+        obj._f = list(obj._d)
         obj.certificates = {
             n: {"preset": True} for n in range(1, len(obj._d) + 1)
         }
@@ -471,7 +477,7 @@ class SequenceSet:
             rows.append(
                 {
                     "n": n,
-                    "f": self._f[n - 1] if self._f else d,
+                    "f": self._f[n - 1],
                     "d": d,
                     "r": r,
                     "prime_ok": prime_ok,

@@ -51,11 +51,6 @@ def free_reduce(word: str) -> str:
     return "".join(out)
 
 
-def is_reduced(word: str) -> bool:
-    _check_letters(word)
-    return all(word[i + 1] != INVERSE_OF[word[i]] for i in range(len(word) - 1))
-
-
 def invert(word: str) -> str:
     """Inverse word: reversed letters, each inverted, in two ``str.translate`` passes."""
     _check_letters(word)
@@ -72,47 +67,27 @@ def conjugate(u: str, v: str) -> str:
     return free_reduce(v + u + invert(v))
 
 
-def enumerate_reduced(max_len: int, order: str = "shortlex") -> Iterator[str]:
+def enumerate_reduced(max_len: int) -> Iterator[str]:
     """Yield every freely reduced word of length <= max_len exactly once.
 
-    ``order="shortlex"`` yields by length, letters ordered a < A < b < B.
-    ``order="dfs"`` yields in preorder of the prefix tree with the same
-    child order; the array kernels walk nodes in exactly this order.
-    Either way there are 4 * 3**(k-1) words of each length k >= 1.
+    Shortlex order: by length, letters ordered a < A < b < B.  There
+    are 4 * 3**(k-1) words of each length k >= 1.
     """
     if max_len < 0:
         raise ValueError("max_len must be nonnegative")
-    if order == "shortlex":
-        yield ""
-        frontier = [""]
-        for _ in range(max_len):
-            nxt = []
-            for w in frontier:
-                blocked = INVERSE_OF[w[-1]] if w else ""
-                for ch in ALPHABET:
-                    if ch == blocked:
-                        continue
-                    u = w + ch
-                    yield u
-                    nxt.append(u)
-            frontier = nxt
-    elif order == "dfs":
-        yield ""
-
-        def walk(w: str) -> Iterator[str]:
-            if len(w) == max_len:
-                return
+    yield ""
+    frontier = [""]
+    for _ in range(max_len):
+        nxt = []
+        for w in frontier:
             blocked = INVERSE_OF[w[-1]] if w else ""
             for ch in ALPHABET:
                 if ch == blocked:
                     continue
                 u = w + ch
                 yield u
-                yield from walk(u)
-
-        yield from walk("")
-    else:
-        raise ValueError(f"unknown order {order!r}")
+                nxt.append(u)
+        frontier = nxt
 
 
 def splitmix64(state: int) -> tuple[int, int]:

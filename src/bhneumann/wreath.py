@@ -1,18 +1,21 @@
 """Lamp state over the integer line with values mod 3, plus a shift.
 
 An element is a finitely supported function Z -> Z/3 together with an
-integer translation.  Multiplication translates the right factor's lamps
-by the left factor's shift before adding:
-
-    (f, s) * (g, t) = (f + s.g, s + t),   (s.g)(i) = g(i - s).
-
-The two-generator evaluation sends the first letter to the unit shift
-and the second letter to the lamp toggle at the origin.
+integer translation; the group is the lamp quotient Z/3 wr Z.  The
+two-generator evaluation sends the first letter to the unit shift and
+the second letter to the lamp toggle at the origin, so a word's lamp at
+position i is 1 per b plus 2 per B read at shift i, mod 3.  That is the
+one lamp rule, ``lamp_counts`` over the word's b-skeleton
+(``_kernels.skeleton``); ``w_eval`` and the word problem's lamp check
+both read it.  Free reduction is invisible to it: a cancelled b/B pair
+turns one lamp by 1 + 2.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+from . import _kernels
 
 LampItems = tuple[tuple[int, int], ...]
 
@@ -28,50 +31,20 @@ class WreathElement:
         return self.shift == 0 and not self.lamps
 
 
-def _canonical(lamps: dict[int, int]) -> LampItems:
-    return tuple(sorted((p, v % 3) for p, v in lamps.items() if v % 3))
+def lamp_counts(skeleton: list[tuple[int, int]]) -> dict[int, int]:
+    """Net turns of the lamp at each shift of a b-skeleton: +1 per b, +2 per B.
 
-
-def w_identity() -> WreathElement:
-    return WreathElement((), 0)
-
-
-def w_mul(x: WreathElement, y: WreathElement) -> WreathElement:
-    acc = dict(x.lamps)
-    for p, v in y.lamps:
-        q = p + x.shift
-        acc[q] = (acc.get(q, 0) + v) % 3
-    return WreathElement(_canonical(acc), x.shift + y.shift)
-
-
-def w_inv(x: WreathElement) -> WreathElement:
-    """Inverse: (f, s)^-1 = (-(-s).f, -s)."""
-    acc = {p - x.shift: (-v) % 3 for p, v in x.lamps}
-    return WreathElement(_canonical(acc), -x.shift)
+    Every shift the skeleton reads b or B at is a key, also where its
+    count is 0 mod 3.
+    """
+    counts: dict[int, int] = {}
+    for t, c in skeleton:
+        counts[t] = counts.get(t, 0) + c - 1
+    return counts
 
 
 def w_eval(word: str) -> WreathElement:
-    """Evaluate a word letter by letter, O(1) work per letter.
-
-    Free reduction is invisible here: cancelling letters undo each other
-    exactly, so w_eval(w) == w_eval(free_reduce(w)).
-    """
-    lamps: dict[int, int] = {}
-    shift = 0
-    for ch in word:
-        if ch == "a":
-            shift += 1
-        elif ch == "A":
-            shift -= 1
-        elif ch == "b":
-            lamps[shift] = (lamps.get(shift, 0) + 1) % 3
-        elif ch == "B":
-            lamps[shift] = (lamps.get(shift, 0) + 2) % 3
-        else:
-            raise ValueError(f"letter {ch!r} is not one of aAbB")
-    return WreathElement(_canonical(lamps), shift)
-
-
-def lamp_data(x: WreathElement) -> tuple[dict[int, int], int]:
-    """Lamp values keyed by position, plus the shift."""
-    return dict(x.lamps), x.shift
+    """The lamp state of a word: its lamp counts mod 3, plus its final shift."""
+    skeleton, shift = _kernels.skeleton(word)
+    lamps = tuple(sorted([(p, v % 3) for p, v in lamp_counts(skeleton).items() if v % 3]))
+    return WreathElement(lamps, shift)

@@ -80,6 +80,11 @@ def test_log_factorial_rejects_negative():
         log_factorial(-1)
 
 
+def test_log_factorial_past_the_float_range_is_inf():
+    assert math.isfinite(log_factorial(10**300))
+    assert log_factorial(10**306) == log_factorial(10**400) == math.inf
+
+
 # --- bound families ----------------------------------------------------------
 
 def test_rf_lower_points_preset():
@@ -196,8 +201,11 @@ def test_bound_table_staircase_out_of_length_order():
 
 # --- factorial expansion check ------------------------------------------------
 
+SQUARES = GrowthProfile.from_table([float(n * n) for n in range(1, 1001)])
+
+
 def test_stirling_check_square_exponent():
-    report = stirling_check(lambda n: float(n * n), N=1000, K=2)
+    report = stirling_check(SQUARES, N=1000, K=2)
     assert report["ok"]
     assert report["start_n"] == 4
     assert report["count"] == 997
@@ -214,11 +222,20 @@ def test_stirling_check_builtin_profile():
 
 def test_stirling_check_rejects_bad_args():
     with pytest.raises(ValueError):
-        stirling_check(lambda n: float(n * n), N=2, K=1)
+        stirling_check(SQUARES, N=2, K=1)
     with pytest.raises(ValueError):
-        stirling_check(lambda n: float(n * n), N=100, K=0)
+        stirling_check(SQUARES, N=100, K=0)
     with pytest.raises(ValueError):
-        stirling_check(lambda n: 1.0, N=100, K=1)
+        stirling_check(GrowthProfile.from_table([1.0] * 100), N=100, K=1)
+
+
+def test_stirling_check_fails_past_the_float_range():
+    # log G = 1e308: log((K g)!) and the error terms leave the float range
+    profile = GrowthProfile.from_table([5000.0, 5000.0] + [1e308] * 98)
+    for K in (1, 3):
+        report = stirling_check(profile, N=100, K=K)
+        assert report["sup_a"] == report["sup_b"] == math.inf
+        assert not report["ok"]
 
 
 # --- exact sandwich and envelopes ----------------------------------------------

@@ -7,6 +7,7 @@ import bhneumann._kernels as K
 from bhneumann import DegreeTooLarge, enumerate_reduced, inverse, make_generators, random_reduced
 from bhneumann.perm import MAX_DEGREE, compose, identity
 from bhneumann.words import to_codes
+from conftest import enumerate_dfs
 from test_neumann import dense_trivial_bitmap
 
 
@@ -40,18 +41,11 @@ def word_batch(nwords: int, length: int, seed0: int) -> np.ndarray:
     return np.stack(rows).astype(np.int8)
 
 
-def test_tree_node_count():
-    assert K.tree_node_count(4) == 160
-    for depth in range(7):
-        nonroot = len(list(enumerate_reduced(depth))) - 1
-        assert K.tree_node_count(depth) == nonroot
-
-
 def test_scan_tree_clean_under_support_separation():
     # r = 11, depth 4: 11 >= 9 and 83 - 22 >= 9, so no check may fail
     tabs = tabs_of(83, 11)
     nodes, fails = K.scan_tree(tabs, 11, 4)
-    assert nodes == K.tree_node_count(4) == 160
+    assert nodes == 160
     assert fails == 0
 
 
@@ -70,7 +64,7 @@ def test_scan_tree_detects_collisions():
 def test_dfs_order_matches_word_enumeration():
     tabs = tabs_of(83, 11)
     bitmap = dense_trivial_bitmap(tabs, 4)
-    words = list(enumerate_reduced(4, order="dfs"))[1:]
+    words = enumerate_dfs(4)[1:]
     assert len(words) == len(bitmap)
     idx = np.arange(83, dtype=np.int32)
     for k, w in enumerate(words):
@@ -189,6 +183,6 @@ def test_scan_tree_counts_as_each_word_checked_alone(d, r):
     # check_random_words rebuilds the lamp overlay for every word, where
     # scan_tree rebuilds it only below b and B; depth 5 puts a and A
     # below the first colliding b nodes (such as "baab" at r = 2)
-    words = [to_codes(w) for w in enumerate_reduced(5, order="dfs")][1:]
+    words = [to_codes(w) for w in enumerate_dfs(5)][1:]
     tabs = tabs_of(d, r)
     assert K.scan_tree(tabs, r, 5) == K.check_random_words(tabs, r, words)

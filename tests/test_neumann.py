@@ -36,7 +36,6 @@ from bhneumann import (
     inverse,
     invert,
     is_trivial,
-    lamp_data,
     make_generators,
     next_prime,
     random_reduced,
@@ -49,6 +48,7 @@ from bhneumann import (
 )
 from bhneumann.perm import MAX_DEGREE
 from bhneumann.words import to_codes
+from conftest import enumerate_dfs, lamp_oracle
 
 
 def dense_trivial_bitmap(tabs, depth: int) -> np.ndarray:
@@ -328,7 +328,9 @@ def test_letter_tables_and_generator_pairs_reject_nonpositive_indices(toy_seqs):
     lambda ctx: signature(ctx, "abx", 3),
     lambda ctx: coordinate_eval(ctx, "abx", 1),
     lambda ctx: _kernels.skeleton("abx"),
-], ids=["is_trivial", "equal", "equal_inverted", "signature", "coordinate_eval", "skeleton"])
+    lambda ctx: w_eval("abx"),
+], ids=["is_trivial", "equal", "equal_inverted", "signature", "coordinate_eval", "skeleton",
+        "w_eval"])
 def test_word_readers_reject_letters_outside_the_alphabet(toy_ctx, call):
     with pytest.raises(ValueError, match="'x'"):
         call(toy_ctx)
@@ -337,7 +339,8 @@ def test_word_readers_reject_letters_outside_the_alphabet(toy_ctx, call):
 def test_reconstruction_oracle_at_spread_coords(toy_ctx):
     # rebuild the coordinate image from the lamp state alone and compare
     def reconstruct(w: str, m: int) -> Permutation:
-        lamps, shift = lamp_data(w_eval(w))
+        x = w_eval(w)
+        lamps, shift = dict(x.lamps), x.shift
         d, R = toy_ctx.degree(m), toy_ctx.offset(m)
         sigma = np.arange(d, dtype=np.int32)
         for pos, v in lamps.items():
@@ -375,13 +378,13 @@ def test_word_problem_exhaustive_depth8(toy_ctx):
     # everything.  The locality argument says coords past cutoff(8) = 10
     # are implied by the lamp state; scanning to 30 also exercises that.
     depth = 8
-    words = list(enumerate_reduced(depth, order="dfs"))[1:]
+    words = enumerate_dfs(depth)[1:]
     coord_triv = np.ones(len(words), dtype=bool)
     for m in range(1, 31):
         tabs = toy_ctx.letter_tables(m)
         coord_triv &= dense_trivial_bitmap(tabs, depth)
     wreath_triv = np.fromiter(
-        (w_eval(w).is_identity() for w in words), dtype=bool, count=len(words)
+        (lamp_oracle(w).is_identity() for w in words), dtype=bool, count=len(words)
     )
     oracle = wreath_triv & coord_triv
     got = np.fromiter(
@@ -439,7 +442,7 @@ def test_is_trivial_matches_dense_compose_on_random_presets():
         ctx = GroupContext(SequenceSet.preset(d, r))
         for _ in range(5):
             w = lamp_trivial_word(rng)
-            assert w_eval(w).is_identity()
+            assert lamp_oracle(w).is_identity()
             got = is_trivial(ctx, w)
             assert got == dense_trivial(ctx.seqs, w), (d, r, w)
             for k in (len(w) // 3, len(w) // 2):
@@ -482,7 +485,7 @@ def test_reader_matches_lamp_state_span_and_codes():
     seen = {"trivial": 0, "nontrivial": 0, "unreduced": 0, "no_b": 0, "only_b": 0}
     for word in reader_words(random.Random(21), 60):
         w = free_reduce(word)
-        trivial = w_eval(word).is_identity()
+        trivial = lamp_oracle(word).is_identity()
         for x in (w, word):
             assert _kernels.skeleton(x) == skeleton_of_codes(to_codes(free_reduce(x))), x
         skeleton, shift = _kernels.skeleton(w)
@@ -506,7 +509,7 @@ def test_is_trivial_matches_dense_compose_on_toy_and_short_presets(toy_ctx):
                       (GroupContext(short_b), short_b)):
         trivial = seen_by_coordinates = 0
         for w in words:
-            lamps_trivial = w_eval(w).is_identity()
+            lamps_trivial = lamp_oracle(w).is_identity()
             got = is_trivial(ctx, w)
             assert got == (lamps_trivial and dense_trivial(seqs, w)), (seqs, w)
             trivial += got
@@ -565,7 +568,7 @@ def test_reducing_reader_matches_free_reduce_then_read(toy_ctx, monkeypatch):
         assert len(w) <= 40
         reduced = free_reduce(w)
         assert _kernels.skeleton(w) == skeleton_of_codes(to_codes(reduced)), w
-        lamps_trivial = w_eval(w).is_identity()
+        lamps_trivial = lamp_oracle(w).is_identity()
         row = []
         for ctx, seqs in contexts:
             got = is_trivial(ctx, w)
@@ -799,7 +802,7 @@ def reference_signature(ctx: GroupContext, word: str, n_class: int):
         images.append(p.images)
         parts.append(d.to_bytes(4, "big"))
         parts.append(struct.pack(f"<{d}i", *p.images))
-    lamps = w_eval(w)
+    lamps = lamp_oracle(w)
     parts.append(lamps.shift.to_bytes(8, "big", signed=True))
     for pos, val in lamps.lamps:
         parts.append(pos.to_bytes(8, "big", signed=True))

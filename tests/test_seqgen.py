@@ -693,3 +693,22 @@ def test_profile_too_small():
 
     with pytest.raises(ProfileTooSmall):
         f_of(GrowthProfile.from_table([0.5]), 1)
+
+
+@pytest.mark.parametrize(
+    "profile",
+    [
+        GrowthProfile.bprime(c=1e300),
+        GrowthProfile.builtin(c=1e306),
+        GrowthProfile.builtin(eps=1e300),
+        GrowthProfile.toy(slope=10**400),
+    ],
+    ids=["bprime-c", "builtin-c", "builtin-eps", "toy-slope"],
+)
+def test_log_F_past_the_float_range_raises(profile):
+    # inf from the product, or OverflowError from a power or lgamma
+    with pytest.raises(SequenceConstructionError, match=r"log F\(257\) is past the float range"):
+        profile.log_F(257)
+    if profile.kind != "toy":
+        with pytest.raises(SequenceConstructionError, match="past the float range"):
+            SequenceSet(profile).ensure(1)
