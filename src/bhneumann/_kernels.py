@@ -12,9 +12,8 @@ a letter to a word with normal form (s, sigma):
   most 3 points of sigma.
 
 The cost per letter does not depend on d.  Only ``image`` builds a
-dense table, an ``array('i')`` cut from one shared identity row;
-letter tables, signature digests, ``neumann.coordinate_eval`` and the
-rare dense case of ``canonical_form`` ask for one.
+dense table: for letter tables, signature digests,
+``neumann.coordinate_eval`` and the rare dense case of ``canonical_form``.
 
 s = 0 (mod d) with sigma empty implies P is the identity.  The converse
 holds for a zero a-exponent sum or under spread (sigma moves fewer than
@@ -36,23 +35,21 @@ Shared conventions:
 * ``tabs`` is the letter table of a coordinate,
   ``GroupContext.letter_tables``: a read-only int32 memoryview of shape
   (4, d) whose rows are the images of a, A, b, B.  The kernels read
-  only d = ``tabs.shape[1]`` and, in ``eval_word``, r = ``tabs[2, 0]``.
-  ``eval_word``, the entry point of every coordinate test, walks a
-  b-skeleton at that (d, r) and returns sigma; the word's image is
-  sigma o rho^shift.  Letter codes are a=0, A=1, b=2, B=3, so
-  ``code ^ 1`` is the inverse letter; only ``check_random_words`` walks
-  codes (lists of ints, ``words.to_codes``).
+  only d = ``tabs.shape[1]`` and, in ``eval_word`` (the entry point of
+  every coordinate test), r = ``tabs[2, 0]``.  Letter codes are a=0,
+  A=1, b=2, B=3, so ``code ^ 1`` is the inverse letter; only
+  ``check_random_words`` walks codes (lists of ints, ``words.to_codes``).
 * Words act right to left: the image of l1 l2 ... ln is l1 o ... o ln.
-* Lamp state is ``wreath.lamp_counts`` kept mod 3 letter by letter:
-  letter a shifts by +1, A by -1, b adds 1 (mod 3) to the lamp at the
-  current shift, B adds 2.  The lamp overlay puts the 3-cycle at
-  (i, i+r, i+2r) mod d, or its inverse, at each lit lamp i; lamps are
-  written in increasing position, so where supports collide a later
-  lamp overwrites an earlier one.
-* Tree scans walk the reduced-word prefix tree in preorder with child
-  order a, A, b, B, skipping the child that cancels the last letter:
-  each word comes right after its longest proper prefix, and siblings
-  in that letter order.
+* ``scan_tree`` and ``check_random_words`` read b only at shifts -w..w
+  (w the depth, or the longest word): ``_slots`` numbers the points
+  (s, s+r, s+2r) mod d there as slots, at most 3(2w+1) whatever d is,
+  and sigma is a list over the slots.  Lamp state is the turns at each
+  shift, kept mod 3: b adds 1, B adds 2 (``wreath.lamp_counts``).  The
+  lamp overlay puts the 3-cycle at (i, i+r, i+2r) mod d, or its inverse,
+  at each lit lamp i, in increasing i, so a later lamp overwrites an
+  earlier one where supports collide.
+* ``scan_tree`` walks the reduced-word prefix tree in preorder, children
+  in the order a, A, b, B less the one that cancels the last letter.
 * Consistency checks require the caller to guarantee support
   separation: r >= 2*depth+1 and d - 2*r >= 2*depth+1 for every depth
   they scan, so distinct lamp overlays never collide.
@@ -62,25 +59,21 @@ from __future__ import annotations
 
 from array import array
 from collections import Counter
+from itertools import compress
 
 from .errors import DegreeTooLarge
 from .perm import MAX_DEGREE
 
 # Labels only: perfbench/run.py records these two names and --compare
-# matches runs on the backend.  There is one implementation, in plain
-# Python; no numpy is behind the "numpy" label.
+# matches runs on the backend.  No numpy is behind the "numpy" label.
 ACTIVE = "numpy"
 HAVE_NUMBA = False
 
 
-def _append_b(sigma: dict, lamps: dict | None, s: int, r: int, d: int, c: int) -> None:
-    """Append b (c = 2) or B (c = 3) at shift s, in place.
+def _append_b(sigma: dict, s: int, r: int, d: int, c: int) -> None:
+    """sigma o (x y z) in place, (x, y, z) = (s, s+r, s+2r) mod d for b (c = 2), reversed for B.
 
-    sigma becomes sigma o (x y z) with (x, y, z) = (s, s+r, s+2r) mod d,
-    reversed for B; the lamp at s, if lamps is given, turns by c - 1.
-    The lamp step is the incremental form of ``wreath.lamp_counts``,
-    kept mod 3: the tree scan undoes it on the way back up, where a
-    recount from the pair path would cost a pass per node.
+    The same step on ``_slots`` is one list assignment in the locality walks.
     """
     x = s % d
     y = (x + r) % d
@@ -103,31 +96,6 @@ def _append_b(sigma: dict, lamps: dict | None, s: int, r: int, d: int, c: int) -
         sigma.pop(z, None)
     else:
         sigma[z] = vz
-    if lamps is not None:
-        v = (lamps.get(s, 0) + c - 1) % 3
-        if v:
-            lamps[s] = v
-        else:
-            del lamps[s]
-
-
-def _differs(sigma: dict, lamps: dict, r: int, d: int) -> bool:
-    """Whether sigma differs from the lamp overlay."""
-    overlay = {}
-    for i in sorted(lamps):
-        x, y, z = i % d, (i + r) % d, (i + 2 * r) % d
-        if lamps[i] == 2:
-            y, z = z, y
-        overlay[x] = y
-        overlay[y] = z
-        overlay[z] = x
-    # neither map stores a fixed point, so dict equality is pointwise equality
-    return sigma != overlay
-
-
-def _fails(s: int, sigma: dict, lamps: dict, d: int, differs: bool) -> bool:
-    """Whether a word fails either check of ``scan_tree``; differs is ``_differs``."""
-    return differs or (s % d == 0 and not sigma) != (s == 0 and not lamps)
 
 
 def eval_word(tabs: memoryview, skeleton: list[tuple[int, int]]) -> dict:
@@ -177,7 +145,7 @@ def skeleton_form(skeleton, r: int, d: int) -> dict:
     """sigma, the product of a b-skeleton's 3-cycles at (d, r); the image is sigma o rho^shift."""
     sigma: dict[int, int] = {}
     for t, c in skeleton:
-        _append_b(sigma, None, t, r, d, c)
+        _append_b(sigma, t, r, d, c)
     return sigma
 
 
@@ -224,44 +192,73 @@ def image(d: int, s: int, sigma: dict) -> array:
     return images
 
 
+def _slots(r: int, d: int, w: int) -> tuple[list, tuple, range]:
+    """The identity on slots, the slot triples by letter code, and the window positions.
+
+    Entry 2 (b) lists the slots of (s, s+r, s+2r) mod d at window position
+    s + w, s = -w..w; entry 3 (B) the same with its last two swapped.
+    """
+    slot: dict[int, int] = {}
+    b = [tuple(slot.setdefault(v % d, len(slot)) for v in (s, s + r, s + 2 * r))
+         for s in range(-w, w + 1)]
+    return list(range(len(slot))), (None, None, b, [(i, k, j) for i, j, k in b]), range(2 * w + 1)
+
+
+def _state(p: list, ident: list, lamp: list, trip: tuple, window: range) -> tuple[bool, bool, bool]:
+    """(slot map p differs from the overlay of lamp, p is the identity, no lamp is lit)."""
+    lit = list(compress(window, lamp))
+    o = ident[:]
+    for t in lit:
+        i, j, k = trip[lamp[t] + 1][t]
+        o[i], o[j], o[k] = j, k, i
+    return p != o, p == ident, not lit
+
+
+def _fails(t: int, w: int, d: int, state: tuple[bool, bool, bool]) -> bool:
+    """Whether a walk at window position t, in ``_state`` state, fails a check of ``scan_tree``."""
+    differs, trivial, quiet = state
+    return differs or (trivial and (t - w) % d == 0) != (quiet and t == w)
+
+
 def scan_tree(tabs: memoryview, r: int, max_depth: int) -> tuple[int, int]:
     """Walk all reduced words of length <= max_depth; count check failures.
 
     Two checks per node: the image is the identity exactly when the lamp
     state is trivial, and the image equals the lamp overlay composed
-    with the power of the full cycle given by the shift.  Each step
-    changes at most 3 points of sigma and undoes them on the way back.
-    Returns (nodes visited, nodes failing either check).
+    with the power of the full cycle given by the shift.  A b or B moves
+    3 slots and one lamp, undone on the way back.  Returns (nodes
+    visited, nodes failing either check).
     """
     d = tabs.shape[1]
-    r = int(r)
-    sigma: dict[int, int] = {}
-    lamps: dict[int, int] = {}
+    ident, trip, window = _slots(int(r), d, max_depth)
+    p = ident[:]
+    lamp = [0] * len(window)
     nodes = fails = 0
 
-    def visit(depth: int, last: int, s: int, differs: bool) -> None:
+    def visit(depth: int, last: int, s: int, state: tuple[bool, bool, bool]) -> None:
         nonlocal nodes, fails
         for c in range(4):
             if c == last ^ 1:
                 continue
             nodes += 1
-            if c < 2:
-                # a or A moves neither sigma nor the lamps: the parent's
-                # overlay comparison stands
-                t = s + 1 - 2 * c
-                fails += _fails(t, sigma, lamps, d, differs)
-                if depth < max_depth:
-                    visit(depth + 1, c, t, differs)
-            else:
-                _append_b(sigma, lamps, s, r, d, c)
-                child = _differs(sigma, lamps, r, d)
-                fails += _fails(s, sigma, lamps, d, child)
-                if depth < max_depth:
-                    visit(depth + 1, c, s, child)
-                _append_b(sigma, lamps, s, r, d, c ^ 1)
+            # a or A moves only the shift: the parent's state stands
+            t = s + (1, -1, 0, 0)[c]
+            child = state
+            if c > 1:
+                i, j, k = trip[c][s]
+                p[i], p[j], p[k] = p[j], p[k], p[i]
+                turns = lamp[s]
+                lamp[s] = (turns + c - 1) % 3
+                child = _state(p, ident, lamp, trip, window)
+            fails += _fails(t, max_depth, d, child)
+            if depth < max_depth:
+                visit(depth + 1, c, t, child)
+            if c > 1:
+                lamp[s] = turns
+                p[i], p[j], p[k] = p[k], p[i], p[j]
 
     if max_depth > 0:
-        visit(1, -1, 0, False)
+        visit(1, -1, max_depth, (False, True, True))
     return nodes, fails
 
 
@@ -274,17 +271,20 @@ def check_random_words(tabs: memoryview, r: int, codes2d) -> tuple[int, int]:
     prefixes.  Returns (words checked, failures).
     """
     d = tabs.shape[1]
-    r = int(r)
     rows = codes2d.tolist() if hasattr(codes2d, "tolist") else codes2d
+    w = max(map(len, rows), default=0)
+    ident, trip, window = _slots(int(r), d, w)
     fails = 0
     for codes in rows:
-        s = 0
-        sigma: dict[int, int] = {}
-        lamps: dict[int, int] = {}
+        s = w
+        p = ident[:]
+        lamp = [0] * len(window)
         for c in codes:
             if c < 2:
                 s += 1 - 2 * c
             else:
-                _append_b(sigma, lamps, s, r, d, c)
-        fails += _fails(s, sigma, lamps, d, _differs(sigma, lamps, r, d))
+                i, j, k = trip[c][s]
+                p[i], p[j], p[k] = p[j], p[k], p[i]
+                lamp[s] = (lamp[s] + c - 1) % 3
+        fails += _fails(s, w, d, _state(p, ident, lamp, trip, window))
     return len(rows), fails

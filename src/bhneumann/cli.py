@@ -116,8 +116,16 @@ class _Report:
 
     def render(self, fmt: str) -> str:
         if fmt == "json":
-            obj = {name: self.sections[name] for name in self.order}
-            return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+            # strict JSON has no inf or nan: those floats print as TSV does
+            obj = {
+                name: [
+                    {k: _f(v) if isinstance(v, float) and not math.isfinite(v) else v
+                     for k, v in row.items()}
+                    for row in self.sections[name]
+                ]
+                for name in self.order
+            }
+            return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
         lines = []
         for name in self.order:
             for row in self.sections[name]:

@@ -230,6 +230,28 @@ def test_growth_stirling_overflow_is_a_fail_row(capsys, tmp_path):
         assert "\tsup_a=inf\tsup_b=inf\t" in line and line.endswith("\tok=FAIL")
 
 
+def test_json_writes_non_finite_floats_as_tsv_strings(capsys, tmp_path):
+    # strict JSON has no Infinity or NaN token: inf prints as TSV's "inf"
+    cfgfile = tmp_path / "cfg.json"
+    values = [5000.0, 5000.0] + [1e308] * 98
+    cfgfile.write_text(json.dumps({"profile": "table", "params": {"values": values}}))
+    rc, out, err = run(capsys, ["growth", "--config", str(cfgfile), "--n", "1", "--format", "json"])
+    assert rc == 1 and err == ""
+
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    doc = json.loads(out, parse_constant=refuse)
+    rows = doc["stirling"]
+    assert len(rows) == 3
+    assert all(row["sup_a"] == row["sup_b"] == "inf" and row["ok"] is False for row in rows)
+    report = _Report()
+    report.add("x", {"a": float("-inf"), "b": float("nan"), "c": 0.5})
+    assert json.loads(report.render("json"), parse_constant=refuse) == {
+        "x": [{"a": "-inf", "b": "nan", "c": 0.5}]
+    }
+
+
 def test_growth_table_profile_keeps_rows_before_envelope_error(capsys, tmp_path):
     # the envelope reads log F at 72n + 4, past the end of this table
     cfgfile = tmp_path / "cfg.json"

@@ -1,13 +1,17 @@
 """Sparse coordinate kernels against dense table composition."""
 
+import time
+import tracemalloc
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 import bhneumann._kernels as K
 from bhneumann import DegreeTooLarge, enumerate_reduced, inverse, make_generators, random_reduced
-from bhneumann.perm import MAX_DEGREE, compose, identity
+from bhneumann.perm import MAX_DEGREE, Permutation, compose, cycle_from, identity, power
 from bhneumann.words import to_codes
-from conftest import enumerate_dfs
+from conftest import enumerate_dfs, lamp_oracle
 from test_neumann import dense_trivial_bitmap
 
 
@@ -186,3 +190,64 @@ def test_scan_tree_counts_as_each_word_checked_alone(d, r):
     words = [to_codes(w) for w in enumerate_dfs(5)][1:]
     tabs = tabs_of(d, r)
     assert K.scan_tree(tabs, r, 5) == K.check_random_words(tabs, r, words)
+
+
+def dense_checks(d: int, r: int, words: list[str]) -> tuple[int, int]:
+    """(words, failures) of the two scan_tree checks, by dense composition alone.
+
+    Builds the generators without make_generators, so any 1 <= r < d
+    works, and takes the lamps from the letter-by-letter oracle.
+    """
+    alpha = Permutation((*range(1, d), 0))
+    beta = cycle_from([0, r, 2 * r % d], d)
+    by_letter = {"a": alpha, "A": inverse(alpha), "b": beta, "B": inverse(beta)}
+    fails = 0
+    for w in words:
+        image = identity(d)
+        for ch in w:
+            image = compose(image, by_letter[ch])
+        lamps = lamp_oracle(w)
+        s = lamps.shift
+        sigma = compose(image, power(alpha, -s)).images  # image o rho^-s
+        overlay = list(range(d))
+        for i, v in lamps.lamps:  # increasing position: a later lamp overwrites
+            x, y, z = i % d, (i + r) % d, (i + 2 * r) % d
+            if v == 2:
+                y, z = z, y
+            overlay[x], overlay[y], overlay[z] = y, z, x
+        trivial = sigma == tuple(range(d))
+        fails += list(sigma) != overlay or (s % d == 0 and trivial) != (s == 0 and not lamps.lamps)
+    return len(words), fails
+
+
+@pytest.mark.parametrize("d", [5, 7, 11, 13])
+def test_walks_match_dense_reference_at_every_offset(d):
+    tabs = SimpleNamespace(shape=(4, d))  # the walks read only the degree
+    tree = enumerate_dfs(4)[1:]
+    batch = [random_reduced(12, 300 + i) for i in range(50)]
+    codes = [to_codes(w) for w in batch]
+    failing = 0
+    for r in range(1, d):
+        want = dense_checks(d, r, tree)
+        assert K.scan_tree(tabs, r, 4) == want, r
+        assert K.check_random_words(tabs, r, codes) == dense_checks(d, r, batch), r
+        failing += want[1] > 0
+    assert failing > 0  # every d here has offsets whose overlays collide
+
+
+def test_walks_size_nothing_by_the_degree():
+    # bprime's d(1): one dense row of that degree would take about 3 TB
+    tabs = SimpleNamespace(shape=(4, 766409539403))
+    r = 10**11
+    rows = [to_codes(random_reduced(10, 40 + i)) for i in range(20)]
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        assert K.scan_tree(tabs, r, 4) == (160, 0)
+        assert K.check_random_words(tabs, r, rows) == (20, 0)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 0.5
+    assert peak < 1 << 20

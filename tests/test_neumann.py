@@ -306,6 +306,20 @@ def test_letter_tables_check_each_coordinate_once(toy_seqs, monkeypatch):
     assert checked == [ctx.degree(m) for m in range(1, 5)]
 
 
+def test_checked_pairs_are_read_in_place(toy_seqs):
+    # letter tables and signatures read the context's own list: nothing is
+    # copied per lookup, and generator_pairs still hands out a copy
+    ctx = GroupContext(toy_seqs)
+    ctx.letter_tables(4)
+    assert ctx._checked_pairs(2) is ctx._pairs and len(ctx._pairs) == 4
+    pairs = ctx.generator_pairs(3)
+    assert pairs == [(ctx.degree(m), ctx.offset(m)) for m in range(1, 4)]
+    pairs.clear()
+    assert len(ctx._pairs) == 4
+    signature(ctx, "ab", 2)
+    assert len(ctx._pairs) == max(4, cutoff(ctx, 4))
+
+
 def test_letter_tables_and_generator_pairs_reject_nonpositive_indices(toy_seqs):
     ctx = GroupContext(toy_seqs)
     ctx.letter_tables(3)
