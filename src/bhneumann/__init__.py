@@ -61,7 +61,6 @@ from .neumann import (
     witness,
 )
 from .growth import (
-    BoundTable,
     bound_table,
     envelope_report,
     exact_sandwich,
@@ -124,7 +123,6 @@ __all__ = [
     "span_cutoff",
     "spread_ok",
     "witness",
-    "BoundTable",
     "bound_table",
     "envelope_report",
     "exact_sandwich",

@@ -197,8 +197,8 @@ def _check_generation(cfg: RunConfig, seqs: SequenceSet, report: _Report) -> Non
         d, r = seqs.d_of(k), seqs.r_of(k)
         ok = verify_alt_generation(d, r, r)
         report.add("generation", {"case": f"index_{k}", "d": d, "r1": r, "r2": r, "ok": ok})
+    # order d!/2 certifies Alt(d): it is the one subgroup of that index in Sym(d)
     for d, r1, r2 in ((5, 2, 2), (7, 2, 3), (11, 3, 3), (13, 4, 4)):
-        ok = verify_alt_generation(d, r1, r2)
         got = group_order(build_chain(list(make_generators(d, r1, r2))))
         want = math.factorial(d) // 2
         report.add(
@@ -209,7 +209,7 @@ def _check_generation(cfg: RunConfig, seqs: SequenceSet, report: _Report) -> Non
                 "r1": r1,
                 "r2": r2,
                 "order": got,
-                "ok": ok and got == want,
+                "ok": got == want,
             },
         )
 
@@ -283,8 +283,8 @@ def cmd_verify(cfg: RunConfig, report: _Report) -> int:
 def cmd_growth(cfg: RunConfig, report: _Report) -> int:
     profile = _profile_of(cfg)
     seqs = SequenceSet(profile)
-    table = bound_table(seqs, cfg.n)
-    for row in table.rows:
+    rows = bound_table(seqs, cfg.n)
+    for row in rows:
         report.add(
             "bound",
             {
@@ -312,12 +312,12 @@ def cmd_growth(cfg: RunConfig, report: _Report) -> int:
             },
         )
     if profile.kind != "toy":
-        meta = envelope_report(table, profile).meta
-        report.add("envelope", {"name": "candidate_consistency", "ok": meta["envelope_ok"]})
+        verdict = envelope_report(rows, profile)
+        report.add("envelope", {"name": "candidate_consistency", "ok": verdict["envelope_ok"]})
     for row in exact_sandwich(seqs, min(cfg.n, 20))["rows"]:
         report.add("exact_sandwich", {"n": row["n"], "ok": row["ok"]})
     if profile.kind == "bprime":
-        report.add("envelope", {"name": "loglog_floor", "ok": meta["loglog_ok"]})
+        report.add("envelope", {"name": "loglog_floor", "ok": verdict["loglog_ok"]})
     return 0 if _ok(report) else 1
 
 

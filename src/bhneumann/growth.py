@@ -11,13 +11,11 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass, field
 from itertools import accumulate
 
 from .seqgen import GrowthProfile, SequenceSet
 
 __all__ = [
-    "BoundTable",
     "log_factorial",
     "rf_lower_points",
     "rf_upper",
@@ -33,17 +31,8 @@ _TABLE_LIMIT = 1_000_000
 # log(k!) for k = 0, 1, ..., summed one log at a time, grown on demand to
 # the largest index log_factorial has read (at most _TABLE_LIMIT)
 _cumlog = array("d", [0.0])
-
-
-@dataclass
-class BoundTable:
-    """Rows of (n, lower_log, upper_log, kind), kind in {rf, full_rf}."""
-
-    rows: list[dict] = field(default_factory=list)
-    meta: dict = field(default_factory=dict)
-
-    def consistent(self) -> bool:
-        return all(row["lower_log"] <= row["upper_log"] for row in self.rows)
+# candidate envelope constants c1, c2, c3 that envelope_report checks
+_C1, _C2, _C3 = 72.0, 4.0, 1.0
 
 
 def log_factorial(n: int) -> float:
@@ -70,16 +59,9 @@ def _half_factorial(d: int) -> float:
     return log_factorial(d) - math.log(2.0)
 
 
-def _seqs_of(ctx) -> SequenceSet:
-    if isinstance(ctx, SequenceSet):
-        return ctx
-    return ctx.seqs
-
-
-def rf_lower_points(ctx, M: int) -> list[dict]:
+def rf_lower_points(seqs: SequenceSet, M: int) -> list[dict]:
     """Proven lower points: separating any witness for coordinate m needs
     a quotient of size at least d(m)!/2, at word length 4 + 4 r(m)."""
-    seqs = _seqs_of(ctx)
     seqs.ensure(M)
     rows = []
     for m in range(1, M + 1):
@@ -96,20 +78,18 @@ def rf_lower_points(ctx, M: int) -> list[dict]:
     return rows
 
 
-def rf_upper(ctx, n: int) -> float:
+def rf_upper(seqs: SequenceSet, n: int) -> float:
     """Upper bound at length n: one coordinate of size d(n)!/2 suffices."""
-    seqs = _seqs_of(ctx)
     return _half_factorial(seqs.d_of(n))
 
 
-def full_rf_upper(ctx, N: int) -> list[float]:
+def full_rf_upper(seqs: SequenceSet, N: int) -> list[float]:
     """Upper bounds for the all-elements variant at lengths n = 1..N.
 
     The product of the first 2n coordinates separates everything in the
     radius-n ball, so the bound at n is the sum of log(d(k)!/2) over
     k <= 2n.  One running sum over k = 1..2N yields every n at once.
     """
-    seqs = _seqs_of(ctx)
     seqs.ensure(2 * N)
     uppers = []
     total = 0.0
@@ -120,42 +100,27 @@ def full_rf_upper(ctx, N: int) -> list[float]:
     return uppers
 
 
-def bound_table(ctx, N: int) -> BoundTable:
-    """Both bound families on 1..N, with the staircase of lower points.
+def bound_table(seqs: SequenceSet, N: int) -> list[dict]:
+    """Rows (n, lower_log, upper_log, kind) of both bound families on 1..N.
 
-    The lower column at n is the best proven point with word length <= n
-    (0.0 before the first point applies): each point goes into the bucket
-    of its word length, and a running max over the buckets gives the
-    staircase.  The full_rf column comes from one ``full_rf_upper`` call.
+    Each n has an rf row, then a full_rf row.  The lower column at n is
+    the best proven point with word length <= n (0.0 before the first
+    point applies): each point goes into the bucket of its word length,
+    and a running max over the buckets gives the staircase.  The full_rf
+    column comes from one ``full_rf_upper`` call.
     """
-    seqs = _seqs_of(ctx)
-    points = rf_lower_points(seqs, N)
     step = [0.0] * (N + 1)
-    for row in points:
+    for row in rf_lower_points(seqs, N):
         if row["n"] <= N:
             step[row["n"]] = max(step[row["n"]], row["lower"])
     lower = list(accumulate(step, max))
     full = full_rf_upper(seqs, N)
-    table = BoundTable()
+    rows = []
     for n in range(1, N + 1):
         best = lower[n]
-        up = rf_upper(seqs, n)
-        table.rows.append(
-            {"n": n, "lower_log": best, "upper_log": up, "kind": "rf"}
-        )
-        table.rows.append(
-            {
-                "n": n,
-                "lower_log": best,
-                "upper_log": full[n - 1],
-                "kind": "full_rf",
-            }
-        )
-    table.meta["points"] = [
-        {"m": row["m"], "n": row["n"], "lower_log": row["lower"]}
-        for row in points
-    ]
-    return table
+        rows.append({"n": n, "lower_log": best, "upper_log": rf_upper(seqs, n), "kind": "rf"})
+        rows.append({"n": n, "lower_log": best, "upper_log": full[n - 1], "kind": "full_rf"})
+    return rows
 
 
 def _g_of(log_G: float) -> int:
@@ -243,10 +208,9 @@ def stirling_check(profile: GrowthProfile, N: int, K: int) -> dict:
     return report
 
 
-def exact_sandwich(ctx, N: int) -> dict:
+def exact_sandwich(seqs: SequenceSet, N: int) -> dict:
     """Big-integer check (f(n))!/2 <= d(n)!/2 <= (2 f(n))! while the
     factorials stay materializable; rows outside desk scale are skipped."""
-    seqs = _seqs_of(ctx)
     seqs.ensure(N)
     rows = []
     ok = True
@@ -264,14 +228,11 @@ def exact_sandwich(ctx, N: int) -> dict:
     return {"rows": rows, "ok": ok}
 
 
-def envelope_report(
-    table: BoundTable,
-    profile: GrowthProfile,
-    constants: dict | None = None,
-) -> BoundTable:
-    """Check a bound table against the profile curve; returns the table.
+def envelope_report(rows: list[dict], profile: GrowthProfile) -> dict:
+    """Check bound_table rows against the profile curve; rows are not changed.
 
-    Candidate constants {"c1", "c2", "c3"} describe the envelope shape
+    The candidate constants c1, c2, c3 (_C1, _C2, _C3) describe the
+    envelope shape
 
       log F(n/c1 - c2) * (1 - c3 llls/lls)  and
       log F(c1 n + c2) * (2 + c3 llls/lls),
@@ -281,54 +242,31 @@ def envelope_report(
     so the report checks the necessary consistency conditions: the
     candidate lower envelope must not exceed the proven upper bound and
     the proven lower staircase must not exceed the candidate upper
-    envelope.  Each rf row gains log_F and the envelope values, and the
-    verdicts ("envelope_ok", plus the bprime "loglog_ok" and its rows)
-    go into table.meta.  A table profile must hold log F up to
-    ceil(c1 N + c2), 72N + 4 by default.
+    envelope ("envelope_ok").  For bprime, "loglog_ok" checks
+    log log F(n) >= log(n)^2 + log c for n = 2..min(N, 50); it is True
+    for the other kinds.  A table profile must hold log F up to
+    ceil(c1 N + c2), 72N + 4.
     """
     if profile.kind not in ("builtin", "table", "bprime"):
         raise ValueError("envelope reporting needs a builtin, table or bprime profile")
-    cs = {"c1": 72.0, "c2": 4.0, "c3": 1.0}
-    if constants:
-        cs.update(constants)
-    rf_rows = [row for row in table.rows if row["kind"] == "rf"]
+    rf_rows = [row for row in rows if row["kind"] == "rf"]
     env_ok = True
     for row in rf_rows:
         n = row["n"]
-        row["log_F"] = profile.log_F(n)
-        lo_arg = math.floor(n / cs["c1"] - cs["c2"])
+        lo_arg = math.floor(n / _C1 - _C2)
         if lo_arg >= 1:
             lf = profile.log_F(lo_arg)
             if lf > math.e**math.e:
                 frac = math.log(math.log(math.log(lf))) / math.log(math.log(lf))
-                env_lower = lf * max(0.0, 1.0 - cs["c3"] * frac)
-                row["env_lower"] = env_lower
-                if env_lower > row["upper_log"] + 1e-9:
+                if lf * max(0.0, 1.0 - _C3 * frac) > row["upper_log"] + 1e-9:
                     env_ok = False
-        hi_arg = math.ceil(cs["c1"] * n + cs["c2"])
-        lf = profile.log_F(hi_arg)
+        lf = profile.log_F(math.ceil(_C1 * n + _C2))
         if lf > math.e**math.e:
             frac = math.log(math.log(math.log(lf))) / math.log(math.log(lf))
-            env_upper = lf * (2.0 + cs["c3"] * frac)
-            row["env_upper"] = env_upper
-            if row["lower_log"] > env_upper + 1e-9:
+            if row["lower_log"] > lf * (2.0 + _C3 * frac) + 1e-9:
                 env_ok = False
-    loglog_rows = []
-    loglog_ok = True
-    if profile.kind == "bprime":
-        for n in range(2, min(len(rf_rows), 50) + 1):
-            lf = profile.log_F(n)
-            lhs = math.log(lf)
-            rhs = math.log(n) ** 2 + math.log(profile.c)
-            ok = lhs >= rhs - 1e-9
-            loglog_ok = loglog_ok and ok
-            loglog_rows.append({"n": n, "loglog_F": lhs, "floor": rhs, "ok": ok})
-    table.meta.update(
-        {
-            "constants": cs,
-            "envelope_ok": env_ok,
-            "loglog_rows": loglog_rows,
-            "loglog_ok": loglog_ok,
-        }
+    loglog_ok = profile.kind != "bprime" or all(
+        math.log(profile.log_F(n)) >= math.log(n) ** 2 + math.log(profile.c) - 1e-9
+        for n in range(2, min(len(rf_rows), 50) + 1)
     )
-    return table
+    return {"envelope_ok": env_ok, "loglog_ok": loglog_ok}

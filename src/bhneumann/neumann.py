@@ -62,12 +62,12 @@ class GroupContext:
     letters a, A, b, B, built by _kernels.image from (d(m), r(m)) alone:
     x + 1, x - 1 mod d, the 3-cycle (0, r, 2r) and its inverse.
     Every coordinate test passes a table to _kernels.eval_word, which
-    reads only its (d, r).  generator_pairs keeps the checked (d(m),
-    r(m)) of coordinates 1, 2, ... as a list that only grows; letter
-    tables and signatures read (d, r) from it in place
-    (_checked_pairs), so each coordinate passes perm.check_generators
-    once per context and a lookup copies nothing.  m < 1 (m0 < 0 for
-    generator_pairs) raises ValueError and caches nothing.
+    reads only its (d, r).  generator_pairs returns the context's own
+    list of checked (d(m), r(m)) for coordinates 1, 2, ..., which only
+    grows; letter tables and signatures read (d, r) from it in place,
+    so each coordinate passes perm.check_generators once per context
+    and a lookup copies nothing.  m < 1 (m0 < 0 for generator_pairs)
+    raises ValueError and caches nothing.
     The one cutoff cache maps a span W to span_cutoff(ctx, W); cutoff(ctx,
     n) reads it at W = 2n.  Derived and preset tables never change at a
     known index, so no cache goes stale.  Contexts are immutable once
@@ -91,7 +91,7 @@ class GroupContext:
         if tabs is None:
             if m < 1:
                 raise ValueError(f"coordinate index must be >= 1, got {m}")
-            d, r = self._checked_pairs(m)[m - 1]
+            d, r = self.generator_pairs(m)[m - 1]
             b = {0: r, r: 2 * r, 2 * r: 0}
             rows = [(1, {}), (-1, {}), (0, b), (0, {v: k for k, v in b.items()})]
             joined = b"".join(_kernels.image(d, s, sigma) for s, sigma in rows)
@@ -99,13 +99,13 @@ class GroupContext:
         return tabs
 
     def generator_pairs(self, m0: int) -> list[tuple[int, int]]:
-        """(d(m), r(m)) for m = 1..m0, each passed through check_generators once."""
+        """The context's own list of (d(m), r(m)), filled to at least m0 entries.
+
+        Each pair passes check_generators once; the list is not a copy,
+        so callers read it and never change it.
+        """
         if m0 < 0:
             raise ValueError(f"coordinate count must be >= 0, got {m0}")
-        return self._checked_pairs(m0)[:m0]
-
-    def _checked_pairs(self, m0: int) -> list[tuple[int, int]]:
-        """The context's own list of checked (d, r), filled to at least m0 entries; not a copy."""
         pairs = self._pairs
         while len(pairs) < m0:
             m = len(pairs) + 1
@@ -297,7 +297,7 @@ def signature(ctx: GroupContext, word: str, n_class: int) -> ElementSignature:
     (_kernels.skeleton_form) and keeps the canonical form.  The lamp
     state is w_eval of the word as given, which free reduction does not
     change.  Every coordinate's (d, r) passes check_generators first
-    (GroupContext._checked_pairs), so a preset outside the precondition
+    (GroupContext.generator_pairs), so a preset outside the precondition
     raises InvalidGenerators or DegreeTooLarge.
     """
     skeleton, shift = _kernels.skeleton(word)
@@ -312,7 +312,7 @@ def signature(ctx: GroupContext, word: str, n_class: int) -> ElementSignature:
         )
     coords = []
     top = cutoff(ctx, 2 * n_class)
-    for d, r in islice(ctx._checked_pairs(top), top):
+    for d, r in islice(ctx.generator_pairs(top), top):
         s, sigma = _kernels.canonical_form(d, shift, _kernels.skeleton_form(skeleton, r, d))
         coords.append((d, s, tuple(sorted(sigma.items()))))
     return ElementSignature(tuple(coords), w_eval(word), n_class)

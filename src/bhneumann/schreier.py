@@ -26,8 +26,8 @@ generators, so the orbit product still never exceeds the group order,
 and reaching the bound still proves the chain complete.  The fill stops
 at the bound or after a run of sifts that reach the identity.  A group
 below the bound is then completed by the verification sweep, which
-sifts each Schreier generator until it first sifts to the identity and
-never again; at the bound the sweep returns at once.
+sifts every Schreier generator of a level again after each residue it
+attaches; at the bound the sweep returns at once.
 
 The chain is plain Python and meant for small degrees: it runs in the
 CLI only for d <= 13, and Alt(d) at the tower's degrees is certified by
@@ -53,15 +53,12 @@ __all__ = [
 
 
 class _Level:
-    __slots__ = ("point", "gens", "inv_reps", "sifted")
+    __slots__ = ("point", "gens", "inv_reps")
 
     def __init__(self, point: int, identity: tuple):
         self.point = point
         self.gens: list[tuple] = []
         self.inv_reps: dict[int, tuple] = {point: identity}
-        # orbit point x -> how many leading gens have a Schreier generator
-        # at x that sifts to the identity below this level
-        self.sifted: dict[int, int] = {}
 
     @property
     def pts(self):
@@ -137,39 +134,27 @@ class StabilizerChain:
         """First Schreier generator of level li that does not sift below it.
 
         Returns (residue, level) or None.  The Schreier generator for an
-        orbit point x and a generator g is w_g(x) * g * w_x^-1.  Pairs
-        recorded in the level's ``sifted`` counts are skipped: reps are
-        never replaced and levels only appended, so an element that once
-        sifted to the identity still does, and the first residue found
-        is the one a full rescan would find.  The pair returned counts
-        as sifted too: the caller attaches its residue at level rl, whose
-        new rep for residue(point) is residue^-1, so the pair sifts to
-        the identity from then on.  The recorded pairs of a point are a
-        prefix of gens, as gens only grow at the end.
+        orbit point x and a generator g is w_g(x) * g * w_x^-1; every
+        (x, g) pair of the level is sifted, in orbit and generator order.
         """
         lv = self.levels[li]
-        reps, gens, sifted = lv.inv_reps, lv.gens, lv.sifted
+        reps = lv.inv_reps
         for x, w in reps.items():
-            done = sifted.get(x, 0)
-            if done == len(gens):
-                continue
             u = inverse_images(w)
-            for i in range(done, len(gens)):
-                g = gens[i]
+            for g in lv.gens:
                 schreier = compose_images(reps[g[x]], compose_images(g, u))
                 residue, rl = self._sift(schreier, li + 1)
                 if residue is not None:
-                    sifted[x] = i + 1
                     return residue, rl
-            sifted[x] = len(gens)
         return None
 
     def _verify_sweep(self, bound: int) -> None:
         """Deterministic completion: check every Schreier generator.
 
         Works bottom up; a surviving residue is attached at its level
-        and the sweep restarts there.  The sweep stops as soon as the
-        orbit product reaches bound, an upper bound on the group order.
+        and the sweep rescans from there.  It stops once no level has a
+        residue left or the orbit product reaches bound, an upper bound
+        on the group order.
         """
         li = len(self.levels) - 1
         while li >= 0 and self.order() < bound:
@@ -242,8 +227,7 @@ def build_chain(generators: list[Permutation]) -> StabilizerChain:
     build stops as soon as the transversal product reaches that bound,
     which is exact because the product never exceeds the group order.
     A proper subgroup of the bound never reaches it and is completed by
-    the full verification sweep, which is exact but meant for small
-    degrees.
+    the rescanning verification sweep, exact but meant for small degrees.
     """
     chain, bound = _filled_chain(generators)
     chain._verify_sweep(bound)

@@ -1,5 +1,6 @@
 """Growth bounds: log-domain magnitudes against big integers computed here."""
 
+import copy
 import math
 from array import array
 from itertools import accumulate
@@ -8,7 +9,6 @@ import pytest
 
 import bhneumann.growth as growth_module
 from bhneumann import (
-    GroupContext,
     GrowthProfile,
     SequenceSet,
     ball,
@@ -112,38 +112,46 @@ def test_full_rf_upper_preset_product():
 
 def test_bound_chain_toy(toy_ctx):
     # single-coordinate bound <= product bound <= ball^2 scaled bound
-    full = full_rf_upper(toy_ctx, 4)
+    seqs = toy_ctx.seqs
+    full = full_rf_upper(seqs, 4)
     assert len(full) == 4
     for n in range(1, 5):
-        single = rf_upper(toy_ctx, n)
+        single = rf_upper(seqs, n)
         assert single <= full[n - 1]
         b = len(ball(toy_ctx, n))
-        assert full[n - 1] <= b * b * rf_upper(toy_ctx, 2 * n)
+        assert full[n - 1] <= b * b * rf_upper(seqs, 2 * n)
+
+
+def consistent(rows: list[dict]) -> bool:
+    return all(row["lower_log"] <= row["upper_log"] for row in rows)
 
 
 def test_bound_table_toy(toy_ctx):
-    table = bound_table(toy_ctx, 16)
-    assert table.consistent()
-    rf_rows = [row for row in table.rows if row["kind"] == "rf"]
+    seqs = toy_ctx.seqs
+    rows = bound_table(seqs, 16)
+    assert consistent(rows)
+    rf_rows = [row for row in rows if row["kind"] == "rf"]
     assert len(rf_rows) == 16
     lows = [row["lower_log"] for row in rf_rows]
     assert lows == sorted(lows)
     # first proven point sits at n = 4 + 4*r(1) = 12
     assert lows[10] == 0.0
     assert lows[11] > 0.0
-    points = table.meta["points"]
-    assert [p["n"] for p in points] == [
-        4 + 4 * toy_ctx.seqs.r_of(m) for m in range(1, 17)
-    ]
+    points = rf_lower_points(seqs, 16)
+    assert [p["n"] for p in points] == [4 + 4 * seqs.r_of(m) for m in range(1, 17)]
+    # the staircase is the running max of the points at word length <= n
+    for row in rf_rows:
+        reached = [p["lower"] for p in points if p["n"] <= row["n"]]
+        assert row["lower_log"] == max(reached, default=0.0)
 
 
 def test_bound_table_accepts_bare_sequences(toy_seqs):
-    assert bound_table(toy_seqs, 4).consistent()
+    assert consistent(bound_table(toy_seqs, 4))
 
 
 def test_bound_table_builtin_small():
     seqs = SequenceSet(GrowthProfile.builtin())
-    assert bound_table(seqs, 5).consistent()
+    assert consistent(bound_table(seqs, 5))
 
 
 def pointwise_table(seqs, N):
@@ -185,15 +193,14 @@ TIED = dict(d=[23, 13] + [7] * 22, r=[2, 2] + [50] * 22)
 )
 def test_bound_table_matches_pointwise_definition(make, N):
     seqs = make()
-    table = bound_table(seqs, N)
     # exact float equality: the one-pass table adds the same terms in the
     # same order as the pointwise sums
-    assert table.rows == pointwise_table(seqs, N)
+    assert bound_table(seqs, N) == pointwise_table(seqs, N)
 
 
 def test_bound_table_staircase_out_of_length_order():
     seqs = SequenceSet.preset(**SHUFFLED)
-    lows = [row["lower_log"] for row in bound_table(seqs, 20).rows if row["kind"] == "rf"]
+    lows = [row["lower_log"] for row in bound_table(seqs, 20) if row["kind"] == "rf"]
     half = {d: log_factorial(d) - math.log(2.0) for d in (11, 23, 29)}
     want = [0.0] * 7 + [half[11]] * 4 + [half[23]] * 8 + [half[29]]
     assert lows == want
@@ -241,7 +248,7 @@ def test_stirling_check_fails_past_the_float_range():
 # --- exact sandwich and envelopes ----------------------------------------------
 
 def test_exact_sandwich_toy(toy_ctx):
-    report = exact_sandwich(toy_ctx, 20)
+    report = exact_sandwich(toy_ctx.seqs, 20)
     assert report["ok"]
     assert len(report["rows"]) == 20
     assert all(row["ok"] for row in report["rows"])
@@ -255,39 +262,52 @@ def test_exact_sandwich_skips_large_rows():
 
 def test_envelope_rejects_toy(toy_ctx):
     with pytest.raises(ValueError):
-        envelope_report(bound_table(toy_ctx, 5), GrowthProfile.toy())
+        envelope_report(bound_table(toy_ctx.seqs, 5), GrowthProfile.toy())
+
+
+def loglog_floor_holds(prof, n: int) -> bool:
+    return math.log(prof.log_F(n)) >= math.log(n) ** 2 + math.log(prof.c) - 1e-9
 
 
 def test_envelope_bprime_default_constants():
     prof = GrowthProfile.bprime()
     seqs = SequenceSet(prof)
-    table = envelope_report(bound_table(seqs, 12), prof)
-    assert table.meta["envelope_ok"]
-    assert table.meta["loglog_ok"]
-    assert len(table.meta["loglog_rows"]) == 11
+    assert (growth_module._C1, growth_module._C2, growth_module._C3) == (72.0, 4.0, 1.0)
+    rows = bound_table(seqs, 12)
+    assert envelope_report(rows, prof) == {"envelope_ok": True, "loglog_ok": True}
+    # the floor is checked at n = 2..12 and holds at each
+    assert all(loglog_floor_holds(prof, n) for n in range(2, 13))
     assert exact_sandwich(seqs, 12)["ok"]
-    assert table.meta["constants"]["c1"] == 72.0
-    rf_rows = [row for row in table.rows if row["kind"] == "rf"]
-    assert all("log_F" in row for row in rf_rows)
-    assert any("env_upper" in row for row in rf_rows)
 
 
-def test_envelope_bprime_weak_constants_fail():
+def test_envelope_bprime_weak_constants_fail(monkeypatch):
     # with c1 = 1 the candidate upper envelope at n = 12 is log F(12),
     # far below the proven staircase point built from d(1), so the
     # necessary condition must be flagged
     prof = GrowthProfile.bprime()
-    seqs = SequenceSet(prof)
-    table = envelope_report(bound_table(seqs, 12), prof, constants={"c1": 1.0, "c2": 0.0})
-    assert not table.meta["envelope_ok"]
-    rf_rows = [row for row in table.rows if row["kind"] == "rf"]
-    assert any("env_lower" in row for row in rf_rows)
+    rows = bound_table(SequenceSet(prof), 12)
+    # zero bounds: only a candidate lower envelope above 0 can fail them,
+    # and at c1 = 72, c2 = 4 none applies before n = 360
+    flat = [dict(row, lower_log=0.0, upper_log=0.0) for row in rows]
+    assert envelope_report(flat, prof)["envelope_ok"]
+    monkeypatch.setattr(growth_module, "_C1", 1.0)
+    monkeypatch.setattr(growth_module, "_C2", 0.0)
+    assert envelope_report(rows, prof)["envelope_ok"] is False
+    # at c1 = 1 the lower envelope log F(n) (1 - llls/lls) is above 0
+    assert envelope_report(flat, prof)["envelope_ok"] is False
 
 
 def test_envelope_builtin_smoke():
     prof = GrowthProfile.builtin()
-    seqs = SequenceSet(prof)
-    table = envelope_report(bound_table(seqs, 8), prof)
-    assert table.meta["envelope_ok"]
-    assert table.meta["loglog_rows"] == []
-    assert table.consistent()
+    rows = bound_table(SequenceSet(prof), 8)
+    assert envelope_report(rows, prof) == {"envelope_ok": True, "loglog_ok": True}
+    assert consistent(rows)
+
+
+@pytest.mark.parametrize("kind,N", [("builtin", 8), ("bprime", 12)])
+def test_envelope_report_leaves_its_rows_unchanged(kind, N):
+    prof = getattr(GrowthProfile, kind)()
+    rows = bound_table(SequenceSet(prof), N)
+    before = copy.deepcopy(rows)
+    envelope_report(rows, prof)
+    assert rows == before

@@ -307,17 +307,18 @@ def test_letter_tables_check_each_coordinate_once(toy_seqs, monkeypatch):
 
 
 def test_checked_pairs_are_read_in_place(toy_seqs):
-    # letter tables and signatures read the context's own list: nothing is
-    # copied per lookup, and generator_pairs still hands out a copy
+    # letter tables, signatures and generator_pairs all read the context's
+    # own list: nothing is copied per lookup, and it is filled only to
+    # the largest count asked for
     ctx = GroupContext(toy_seqs)
     ctx.letter_tables(4)
-    assert ctx._checked_pairs(2) is ctx._pairs and len(ctx._pairs) == 4
-    pairs = ctx.generator_pairs(3)
-    assert pairs == [(ctx.degree(m), ctx.offset(m)) for m in range(1, 4)]
-    pairs.clear()
-    assert len(ctx._pairs) == 4
+    assert ctx.generator_pairs(2) is ctx._pairs and len(ctx._pairs) == 4
+    pairs = ctx.generator_pairs(6)
+    assert pairs is ctx._pairs
+    assert pairs == [(ctx.degree(m), ctx.offset(m)) for m in range(1, 7)]
     signature(ctx, "ab", 2)
-    assert len(ctx._pairs) == max(4, cutoff(ctx, 4))
+    assert ctx.generator_pairs(0) is ctx._pairs
+    assert len(ctx._pairs) == max(6, cutoff(ctx, 4))
 
 
 def test_letter_tables_and_generator_pairs_reject_nonpositive_indices(toy_seqs):
@@ -331,7 +332,7 @@ def test_letter_tables_and_generator_pairs_reject_nonpositive_indices(toy_seqs):
         with pytest.raises(ValueError):
             ctx.generator_pairs(m0)
     assert ctx._tabs == tabs and ctx._pairs == pairs
-    assert ctx.generator_pairs(0) == []
+    assert GroupContext(toy_seqs).generator_pairs(0) == []
     assert ctx.letter_tables(1).shape == (4, ctx.degree(1))
 
 

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from bhneumann import cli
 from bhneumann import perm as P
 from bhneumann import schreier as S
 
@@ -196,8 +197,8 @@ def test_chain_matches_the_reference_sweep(gens, want):
 
 @pytest.mark.parametrize("gens,want", SWEEP_CASES)
 def test_sweep_alone_matches_the_reference_sweep(gens, want):
-    # from the bare generators the sweep finds the residues itself, so
-    # its skipping of pairs already sifted must miss none of them
+    # from the bare generators the sweep finds the residues itself, with
+    # no fill to find any of them first
     _, bound = S._filled_chain(gens)
     chain = bare_chain(gens)
     chain._verify_sweep(bound)
@@ -216,10 +217,11 @@ def test_sweep_alone_matches_the_reference_sweep(gens, want):
 )
 def test_sweep_alone_resumes_a_point_after_its_residue(images, want):
     # from the bare generators, some residue comes only from a pair after
-    # the one that gave an earlier residue at the same orbit point; a
-    # sweep that recorded the whole point as sifted at that earlier
-    # residue would stop at order 48 (first case) or 24 (second).  Found
-    # by a seeded search over degree 6-8 sets of 2-3 generators.
+    # the one that gave an earlier residue at the same orbit point, so the
+    # sweep must come back to that point: one that skipped the point's
+    # remaining pairs after its first residue would stop at order 48
+    # (first case) or 24 (second).  Found by a seeded search over degree
+    # 6-8 sets of 2-3 generators.
     gens = [P.Permutation(im) for im in images]
     _, bound = S._filled_chain(gens)
     chain = bare_chain(gens)
@@ -228,6 +230,23 @@ def test_sweep_alone_resumes_a_point_after_its_residue(images, want):
     assert chain.order() == want == bfs_closure_order(gens)
     assert levels_of(chain) == levels_of(reference_sweep(bare_chain(gens)))
     assert_membership_matches_closure(chain, gens)
+
+
+# bprime's d(1) is past perm.MAX_DEGREE: verify ends in a DegreeTooLarge row
+@pytest.mark.parametrize("profile,code", [("toy", 0), ("builtin", 0), ("bprime", 1)])
+def test_verify_never_reaches_the_sweep(profile, code, capsys, monkeypatch):
+    # every chain the verify command builds reaches its parity bound in
+    # the generators or the fill, so no Schreier generator is ever swept
+    argv = ["verify", "--profile", profile, "--n", "10"]
+    assert cli.main(argv) == code
+    want = capsys.readouterr().out
+
+    def refuse(chain, li):
+        raise AssertionError("the verification sweep ran")
+
+    monkeypatch.setattr(S.StabilizerChain, "_first_residue", refuse)
+    assert cli.main(argv) == code
+    assert capsys.readouterr().out == want
 
 
 def test_chain_is_a_fixed_function_of_the_generators():
