@@ -66,8 +66,6 @@ from .growth import (
     exact_sandwich,
     full_rf_upper,
     log_factorial,
-    rf_lower_points,
-    rf_upper,
     stirling_check,
 )
 
@@ -128,7 +126,5 @@ __all__ = [
     "exact_sandwich",
     "full_rf_upper",
     "log_factorial",
-    "rf_lower_points",
-    "rf_upper",
     "stirling_check",
 ]

@@ -27,14 +27,14 @@ from .words import random_reduced, to_codes
 
 __all__ = ["RunConfig", "main", "cmd_build", "cmd_verify", "cmd_growth", "cmd_oracle"]
 
-_COMMANDS = ("build", "verify", "growth", "oracle")
 _FORMATS = ("tsv", "json")
-_KINDS = ("toy", "builtin", "bprime", "table")
-_PARAM_KEYS = {
-    "toy": {"slope", "intercept"},
-    "builtin": {"c", "eps", "C2"},
-    "bprime": {"c", "C2"},
-    "table": {"values", "C2"},
+# the factory of each profile kind; its keyword parameters are the
+# config's params, so it alone decides which keys a profile accepts
+_PROFILES = {
+    "toy": GrowthProfile.toy,
+    "builtin": GrowthProfile.builtin,
+    "bprime": GrowthProfile.bprime,
+    "table": GrowthProfile.from_table,
 }
 _WORDS_PER_MS = 8
 
@@ -55,9 +55,10 @@ class RunConfig:
     budget_ms: int = 0
 
     def validate(self) -> None:
+        """Raise ValueError on any bad field, params included: they must build the profile."""
         if self.command not in _COMMANDS:
             raise ValueError(f"unknown command {self.command!r}")
-        if self.profile not in _KINDS:
+        if self.profile not in _PROFILES:
             raise ValueError(f"unknown profile {self.profile!r}")
         if self.fmt not in _FORMATS:
             raise ValueError(f"unknown format {self.fmt!r}")
@@ -67,11 +68,10 @@ class RunConfig:
             raise ValueError("seed must be a nonnegative integer")
         if not _is_int(self.budget_ms) or self.budget_ms < 0:
             raise ValueError("budget_ms must be a nonnegative integer")
-        extra = set(self.params) - _PARAM_KEYS[self.profile]
-        if extra:
-            raise ValueError(
-                f"profile {self.profile!r} does not accept params {sorted(extra)}"
-            )
+        try:
+            _profile_of(self)
+        except TypeError as exc:  # an unknown or missing parameter
+            raise ValueError(f"profile {self.profile!r}: {exc}") from exc
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
@@ -85,16 +85,7 @@ class RunConfig:
 
 
 def _profile_of(cfg: RunConfig) -> GrowthProfile:
-    p = cfg.params
-    if cfg.profile == "toy":
-        return GrowthProfile.toy(**p)
-    if cfg.profile == "builtin":
-        return GrowthProfile.builtin(**p)
-    if cfg.profile == "bprime":
-        return GrowthProfile.bprime(**p)
-    if "values" not in p:
-        raise ValueError("table profile needs params.values")
-    return GrowthProfile.from_table(p["values"], C2=p.get("C2", 0))
+    return _PROFILES[cfg.profile](**cfg.params)
 
 
 def _f(x: float) -> str:
@@ -102,17 +93,17 @@ def _f(x: float) -> str:
 
 
 class _Report:
-    """Accumulates rows per section; renders to TSV lines or one JSON blob."""
+    """Accumulates rows per section; renders to TSV lines or one JSON blob.
+
+    Sections render in the order of their first row, and each row's
+    fields in the order of its keys.
+    """
 
     def __init__(self) -> None:
         self.sections: dict[str, list[dict]] = {}
-        self.order: list[str] = []
 
     def add(self, section: str, row: dict) -> None:
-        if section not in self.sections:
-            self.sections[section] = []
-            self.order.append(section)
-        self.sections[section].append(row)
+        self.sections.setdefault(section, []).append(row)
 
     def render(self, fmt: str) -> str:
         if fmt == "json":
@@ -121,17 +112,16 @@ class _Report:
                 name: [
                     {k: _f(v) if isinstance(v, float) and not math.isfinite(v) else v
                      for k, v in row.items()}
-                    for row in self.sections[name]
+                    for row in rows
                 ]
-                for name in self.order
+                for name, rows in self.sections.items()
             }
             return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
         lines = []
-        for name in self.order:
-            for row in self.sections[name]:
+        for name, rows in self.sections.items():
+            for row in rows:
                 cells = [name]
-                for key in row:
-                    val = row[key]
+                for key, val in row.items():
                     if isinstance(val, bool):
                         val = "pass" if val else "FAIL"
                     elif isinstance(val, float):
@@ -153,21 +143,7 @@ def cmd_build(cfg: RunConfig, report: _Report) -> int:
     seqs = SequenceSet(_profile_of(cfg))
     seqs.ensure(cfg.n)
     for n in range(1, cfg.n + 1):
-        cert = seqs.certificates[n]
-        window_lo, window_hi = cert["window"]
-        report.add(
-            "sequence",
-            {
-                "n": n,
-                "f": cert["f"],
-                "d": cert["d"],
-                "q": cert["q"],
-                "r": cert["r"],
-                "window_lo": window_lo,
-                "window_hi": window_hi,
-                "rejected": cert["rejected"],
-            },
-        )
+        report.add("sequence", {"n": n, **seqs.certificates[n]})
     hyp = seqs.validate_hypotheses(cfg.n)
     for name in ("prime_ok", "floor16_ok", "window_ok", "offset_ok", "pairwise_ok"):
         report.add("hypothesis", {"name": name, "ok": all(r[name] for r in hyp["rows"])})
@@ -285,16 +261,7 @@ def cmd_growth(cfg: RunConfig, report: _Report) -> int:
     seqs = SequenceSet(profile)
     rows = bound_table(seqs, cfg.n)
     for row in rows:
-        report.add(
-            "bound",
-            {
-                "n": row["n"],
-                "kind": row["kind"],
-                "lower_log": row["lower_log"],
-                "upper_log": row["upper_log"],
-                "ok": row["lower_log"] <= row["upper_log"],
-            },
-        )
+        report.add("bound", {**row, "ok": row["lower_log"] <= row["upper_log"]})
     n_st = max(100, min(cfg.n, 1000))
     for K in (1, 2, 3):
         rep = stirling_check(profile, n_st, K)
@@ -315,7 +282,7 @@ def cmd_growth(cfg: RunConfig, report: _Report) -> int:
         verdict = envelope_report(rows, profile)
         report.add("envelope", {"name": "candidate_consistency", "ok": verdict["envelope_ok"]})
     for row in exact_sandwich(seqs, min(cfg.n, 20))["rows"]:
-        report.add("exact_sandwich", {"n": row["n"], "ok": row["ok"]})
+        report.add("exact_sandwich", row)
     if profile.kind == "bprime":
         report.add("envelope", {"name": "loglog_floor", "ok": verdict["loglog_ok"]})
     return 0 if _ok(report) else 1
@@ -350,6 +317,14 @@ def cmd_oracle(cfg: RunConfig, report: _Report) -> int:
     return 0 if _ok(report) else 1
 
 
+_COMMANDS = {
+    "build": (cmd_build, "derive and certify the divisor and offset sequences"),
+    "verify": (cmd_verify, "run the generation, commuting, locality and greedy checks"),
+    "growth": (cmd_growth, "emit bound tables and factorial expansion diagnostics"),
+    "oracle": (cmd_oracle, "enumerate balls, test projection injectivity, log witnesses"),
+}
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process; parse_args keeps no state."""
@@ -358,28 +333,15 @@ def _parser() -> argparse.ArgumentParser:
         description="Construct, check and measure the two-generator tower.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-    for name, blurb in (
-        ("build", "derive and certify the divisor and offset sequences"),
-        ("verify", "run the generation, commuting, locality and greedy checks"),
-        ("growth", "emit bound tables and factorial expansion diagnostics"),
-        ("oracle", "enumerate balls, test projection injectivity, log witnesses"),
-    ):
+    for name, (_, blurb) in _COMMANDS.items():
         p = sub.add_parser(name, help=blurb)
         p.add_argument("--config", help="JSON config file; flags override it")
-        p.add_argument("--profile", choices=_KINDS)
+        p.add_argument("--profile", choices=_PROFILES)
         p.add_argument("--n", type=int)
         p.add_argument("--seed", type=int)
         p.add_argument("--format", dest="fmt", choices=_FORMATS)
         p.add_argument("--budget-ms", dest="budget_ms", type=int)
     return ap
-
-
-_DISPATCH = {
-    "build": cmd_build,
-    "verify": cmd_verify,
-    "growth": cmd_growth,
-    "oracle": cmd_oracle,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -400,13 +362,12 @@ def main(argv: list[str] | None = None) -> int:
             if val is not None:
                 data[key] = val
         cfg = RunConfig.from_dict(data)
-        _profile_of(cfg)  # surface bad param values before any work runs
     except (ValueError, TypeError, OSError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     report = _Report()
     try:
-        code = _DISPATCH[cfg.command](cfg, report)
+        code = _COMMANDS[cfg.command][0](cfg, report)
     except BudgetExceeded as exc:
         report.add("error", {"name": "budget_exceeded", "detail": str(exc)})
         code = 1

@@ -17,8 +17,6 @@ from .seqgen import GrowthProfile, SequenceSet
 
 __all__ = [
     "log_factorial",
-    "rf_lower_points",
-    "rf_upper",
     "full_rf_upper",
     "bound_table",
     "stirling_check",
@@ -59,30 +57,6 @@ def _half_factorial(d: int) -> float:
     return log_factorial(d) - math.log(2.0)
 
 
-def rf_lower_points(seqs: SequenceSet, M: int) -> list[dict]:
-    """Proven lower points: separating any witness for coordinate m needs
-    a quotient of size at least d(m)!/2, at word length 4 + 4 r(m)."""
-    seqs.ensure(M)
-    rows = []
-    for m in range(1, M + 1):
-        d = seqs.d_of(m)
-        r = seqs.r_of(m)
-        rows.append(
-            {
-                "m": m,
-                "n": 4 + 4 * r,
-                "lower": _half_factorial(d),
-                "kind": "rf",
-            }
-        )
-    return rows
-
-
-def rf_upper(seqs: SequenceSet, n: int) -> float:
-    """Upper bound at length n: one coordinate of size d(n)!/2 suffices."""
-    return _half_factorial(seqs.d_of(n))
-
-
 def full_rf_upper(seqs: SequenceSet, N: int) -> list[float]:
     """Upper bounds for the all-elements variant at lengths n = 1..N.
 
@@ -101,25 +75,31 @@ def full_rf_upper(seqs: SequenceSet, N: int) -> list[float]:
 
 
 def bound_table(seqs: SequenceSet, N: int) -> list[dict]:
-    """Rows (n, lower_log, upper_log, kind) of both bound families on 1..N.
+    """Rows keyed n, kind, lower_log, upper_log of both bound families on 1..N.
 
-    Each n has an rf row, then a full_rf row.  The lower column at n is
-    the best proven point with word length <= n (0.0 before the first
-    point applies): each point goes into the bucket of its word length,
-    and a running max over the buckets gives the staircase.  The full_rf
-    column comes from one ``full_rf_upper`` call.
+    Each n has an rf row, then a full_rf row.  Both read one list,
+    h(m) = log(d(m)!/2) for m = 1..N.  The rf upper column at n is h(n):
+    one coordinate of that size suffices.  The lower column at n is the
+    best proven point with word length <= n (0.0 before the first point
+    applies), where separating the witness for coordinate m needs a
+    quotient of size at least d(m)!/2, a point h(m) at word length
+    4 + 4 r(m).  Each point goes into the bucket of its word length, and
+    a running max over the buckets gives the staircase.  The full_rf
+    upper column comes from one ``full_rf_upper`` call.
     """
+    seqs.ensure(N)
+    half = [_half_factorial(seqs.d_of(m)) for m in range(1, N + 1)]
     step = [0.0] * (N + 1)
-    for row in rf_lower_points(seqs, N):
-        if row["n"] <= N:
-            step[row["n"]] = max(step[row["n"]], row["lower"])
+    for m, h in enumerate(half, 1):
+        length = 4 + 4 * seqs.r_of(m)
+        if length <= N:
+            step[length] = max(step[length], h)
     lower = list(accumulate(step, max))
     full = full_rf_upper(seqs, N)
     rows = []
     for n in range(1, N + 1):
-        best = lower[n]
-        rows.append({"n": n, "lower_log": best, "upper_log": rf_upper(seqs, n), "kind": "rf"})
-        rows.append({"n": n, "lower_log": best, "upper_log": full[n - 1], "kind": "full_rf"})
+        rows.append({"n": n, "kind": "rf", "lower_log": lower[n], "upper_log": half[n - 1]})
+        rows.append({"n": n, "kind": "full_rf", "lower_log": lower[n], "upper_log": full[n - 1]})
     return rows
 
 

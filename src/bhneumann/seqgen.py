@@ -278,13 +278,14 @@ class _OffsetSieve:
     def scan(self, lo: int, width: int, d_n: int) -> tuple[int, int]:
         """First admissible offset in (lo, lo + width], plus the reject count.
 
-        d_n is the modulus of the index being derived.  bytearray.find
-        walks the positions condition (a) leaves open; such a k is
-        blocked by condition (b) when k, -k, 2k or -2k (mod d_n) is an
-        added offset r(m), read mod d_n.  The first position neither
-        blocks is the offset, and its place in the window is the number
-        of candidates rejected before it.  Raises NoAdmissibleResidue
-        when the whole window is blocked.
+        lo is the index being derived (its window's lower edge q(n) = n)
+        and d_n its modulus.  bytearray.find walks the positions
+        condition (a) leaves open; such a k is blocked by condition (b)
+        when k, -k, 2k or -2k (mod d_n) is an added offset r(m), read
+        mod d_n.  The first position neither blocks is the offset, and
+        its place in the window is the number of candidates rejected
+        before it.  Raises NoAdmissibleResidue for index lo when the
+        whole window is blocked.
         """
         if lo < 0 or width < 1 or d_n < 1:
             raise ValueError(f"bad window ({lo}, {lo + width}] or modulus {d_n}")
@@ -296,16 +297,18 @@ class _OffsetSieve:
             if used.isdisjoint((k % d_n, -k % d_n, 2 * k % d_n, -2 * k % d_n)):
                 return k, k - lo - 1
             k = self._blocked.find(0, k + 1, hi + 1)
-        raise NoAdmissibleResidue(0, lo, hi)
+        raise NoAdmissibleResidue(lo, lo, hi)
 
 
 class SequenceSet:
     """Memoized f, d, r sequences with a certificate per derived index.
 
     Indices are 1-based; the offset window of index n has lower edge
-    q(n) = n.  Every derived index records a certificate dict (window,
-    chosen offset, reject count) so reports can show why each value was
-    picked.
+    q(n) = n.  Every derived index records a certificate dict so reports
+    can show why each value was picked: its keys, in this order, are f,
+    d, q, r, window_lo and window_hi (the window (window_lo, window_hi]
+    = (n, 18n - 1] searched for r), and rejected (the positions of that
+    window before r).
     """
 
     def __init__(self, profile: GrowthProfile):
@@ -410,10 +413,7 @@ class SequenceSet:
         if d < 16 * n:
             raise DivisorTooSmall(n, d)
         width = 17 * n - 1
-        try:
-            k, rejected = self._sieve.scan(n, width, d)
-        except NoAdmissibleResidue as exc:
-            raise NoAdmissibleResidue(n, n, n + width) from exc
+        k, rejected = self._sieve.scan(n, width, d)
         if not 3 * k < d:
             raise SequenceConstructionError(
                 f"offset r({n}) = {k} is not below d({n})/3 = {d / 3:.2f}"
@@ -427,7 +427,8 @@ class SequenceSet:
             "d": d,
             "q": n,
             "r": k,
-            "window": (n, n + width),
+            "window_lo": n,
+            "window_hi": n + width,
             "rejected": rejected,
         }
 

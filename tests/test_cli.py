@@ -39,6 +39,7 @@ def test_config_validation():
         RunConfig(budget_ms=True),
         RunConfig(profile="toy", params={"c": 1.0}),
         RunConfig(profile="bprime", params={"eps": 1.0}),
+        RunConfig(profile="table"),
     ):
         with pytest.raises(ValueError):
             bad.validate()
@@ -374,6 +375,8 @@ def test_parser_is_reused_across_calls(capsys):
         '{"profile": "builtin", "params": {"C2": -300}}',
         '{"profile": "bprime", "params": {"C2": -300}}',
         '{"profile": "table", "params": {"values": [1.0, 2.0, 3.0], "C2": -5}}',
+        '{"profile": "toy", "params": {"c": 1.0}}',
+        '{"profile": "table", "params": {"C2": 3}}',
     ],
 )
 def test_bad_param_value_exits_2(capsys, tmp_path, config):

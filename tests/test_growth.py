@@ -17,8 +17,6 @@ from bhneumann import (
     exact_sandwich,
     full_rf_upper,
     log_factorial,
-    rf_lower_points,
-    rf_upper,
     stirling_check,
 )
 
@@ -87,19 +85,27 @@ def test_log_factorial_past_the_float_range_is_inf():
 
 # --- bound families ----------------------------------------------------------
 
-def test_rf_lower_points_preset():
-    seqs = SequenceSet.preset(d=[17], r=[5])
-    rows = rf_lower_points(seqs, 1)
-    assert len(rows) == 1
-    row = rows[0]
-    assert row["m"] == 1 and row["n"] == 24 and row["kind"] == "rf"
+# first coordinate (17, 5), whose witness has length 4 + 4*5 = 24; every
+# later offset is 50, so no other lower point lies at a length <= 24
+SEVENTEEN = dict(d=[17] + [7] * 47, r=[5] + [50] * 47)
+
+
+def rf_rows(seqs, N):
+    return [row for row in bound_table(seqs, N) if row["kind"] == "rf"]
+
+
+def test_bound_table_rf_lower_preset():
+    rows = rf_rows(SequenceSet.preset(**SEVENTEEN), 24)
+    assert [row["n"] for row in rows] == list(range(1, 25))
+    assert all(row["lower_log"] == 0.0 for row in rows[:23])
     assert math.factorial(17) // 2 == 177_843_714_048_000
-    assert close_to_log(row["lower"], 177_843_714_048_000)
+    assert close_to_log(rows[23]["lower_log"], 177_843_714_048_000)
 
 
-def test_rf_upper_preset():
-    seqs = SequenceSet.preset(d=[17], r=[5])
-    assert close_to_log(rf_upper(seqs, 1), math.factorial(17) // 2)
+def test_bound_table_rf_upper_preset():
+    (row,) = rf_rows(SequenceSet.preset(**SEVENTEEN), 1)
+    assert row["n"] == 1
+    assert close_to_log(row["upper_log"], math.factorial(17) // 2)
 
 
 def test_full_rf_upper_preset_product():
@@ -112,14 +118,11 @@ def test_full_rf_upper_preset_product():
 
 def test_bound_chain_toy(toy_ctx):
     # single-coordinate bound <= product bound <= ball^2 scaled bound
-    seqs = toy_ctx.seqs
-    full = full_rf_upper(seqs, 4)
-    assert len(full) == 4
+    upper = {(row["kind"], row["n"]): row["upper_log"] for row in bound_table(toy_ctx.seqs, 8)}
     for n in range(1, 5):
-        single = rf_upper(seqs, n)
-        assert single <= full[n - 1]
+        assert upper["rf", n] <= upper["full_rf", n]
         b = len(ball(toy_ctx, n))
-        assert full[n - 1] <= b * b * rf_upper(seqs, 2 * n)
+        assert upper["full_rf", n] <= b * b * upper["rf", 2 * n]
 
 
 def consistent(rows: list[dict]) -> bool:
@@ -130,18 +133,19 @@ def test_bound_table_toy(toy_ctx):
     seqs = toy_ctx.seqs
     rows = bound_table(seqs, 16)
     assert consistent(rows)
-    rf_rows = [row for row in rows if row["kind"] == "rf"]
-    assert len(rf_rows) == 16
-    lows = [row["lower_log"] for row in rf_rows]
+    rf = [row for row in rows if row["kind"] == "rf"]
+    assert len(rf) == 16
+    lows = [row["lower_log"] for row in rf]
     assert lows == sorted(lows)
     # first proven point sits at n = 4 + 4*r(1) = 12
     assert lows[10] == 0.0
     assert lows[11] > 0.0
-    points = rf_lower_points(seqs, 16)
-    assert [p["n"] for p in points] == [4 + 4 * seqs.r_of(m) for m in range(1, 17)]
-    # the staircase is the running max of the points at word length <= n
-    for row in rf_rows:
-        reached = [p["lower"] for p in points if p["n"] <= row["n"]]
+    # the staircase is the running max of the points at word length <= n:
+    # log(d(m)!/2) at length 4 + 4 r(m)
+    points = [(4 + 4 * seqs.r_of(m), log_factorial(seqs.d_of(m)) - math.log(2.0))
+              for m in range(1, 17)]
+    for row in rf:
+        reached = [h for length, h in points if length <= row["n"]]
         assert row["lower_log"] == max(reached, default=0.0)
 
 
@@ -156,20 +160,25 @@ def test_bound_table_builtin_small():
 
 def pointwise_table(seqs, N):
     """bound_table rows by the definition, one n at a time: the lower
-    column is the max over every point of word length <= n, the full_rf
-    column a fresh sum over k <= 2n."""
-    points = rf_lower_points(seqs, N)
+    column is the max over every point log(d(m)!/2) of word length
+    4 + 4 r(m) <= n, the rf upper column log(d(n)!/2), the full_rf column
+    a fresh sum of log(d(k)!/2) over k <= 2n."""
+
+    def half(m):
+        return log_factorial(seqs.d_of(m)) - math.log(2.0)
+
+    points = [(4 + 4 * seqs.r_of(m), half(m)) for m in range(1, N + 1)]
     rows = []
     for n in range(1, N + 1):
         best = 0.0
-        for row in points:
-            if row["n"] <= n:
-                best = max(best, row["lower"])
+        for length, h in points:
+            if length <= n:
+                best = max(best, h)
         full = 0.0
         for k in range(1, 2 * n + 1):
-            full += log_factorial(seqs.d_of(k)) - math.log(2.0)
-        rows.append({"n": n, "lower_log": best, "upper_log": rf_upper(seqs, n), "kind": "rf"})
-        rows.append({"n": n, "lower_log": best, "upper_log": full, "kind": "full_rf"})
+            full += half(k)
+        rows.append({"n": n, "kind": "rf", "lower_log": best, "upper_log": half(n)})
+        rows.append({"n": n, "kind": "full_rf", "lower_log": best, "upper_log": full})
     return rows
 
 

@@ -577,7 +577,7 @@ def test_bprime_certificates_until_divisor_leaves_primality_range():
 def test_certificates_recorded(toy_seqs):
     cert = toy_seqs.certificates[3]
     assert cert["d"] == 113 and cert["r"] == 5 and cert["q"] == 3
-    assert cert["window"] == (3, 53)
+    assert cert["window_lo"] == 3 and cert["window_hi"] == 53
 
 
 def test_validate_toy_hard_ok(toy_seqs):
