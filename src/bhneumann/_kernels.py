@@ -160,7 +160,7 @@ def canonical_form(d: int, s: int, sigma: dict) -> tuple[int, dict]:
     s %= d
     if 2 * len(sigma) < d:
         return s, sigma
-    images = image(d, s, sigma)
+    images = image(d, s, sigma.items())
     counts = Counter((y - x) % d for x, y in enumerate(images))
     s = min(counts, key=lambda k: (-counts[k], k))
     moved = ((y, images[(y - s) % d]) for y in range(d))
@@ -173,11 +173,13 @@ def canonical_form(d: int, s: int, sigma: dict) -> tuple[int, dict]:
 _row = array("i")
 
 
-def image(d: int, s: int, sigma: dict) -> array:
+def image(d: int, s: int, moved) -> array:
     """Dense int32 table x -> sigma(x + s) of a normal form on d points.
 
-    The one dense builder: the table is row[s:d] + row[:s] of the shared
-    identity row, patched at the points sigma moves.  s is reduced mod d
+    moved gives the points sigma moves as (point, image) pairs: a
+    sigma's ``items()``, or the sorted items a signature stores.  The
+    one dense builder: the table is row[s:d] + row[:s] of the shared
+    identity row, patched at each pair.  s is reduced mod d
     first.  Past perm.MAX_DEGREE points it raises DegreeTooLarge before
     allocating anything.
     """
@@ -187,7 +189,7 @@ def image(d: int, s: int, sigma: dict) -> array:
         _row.extend(range(len(_row), d))
     s %= d
     images = _row[s:d] + _row[:s]
-    for y, v in sigma.items():
+    for y, v in moved:
         images[(y - s) % d] = v
     return images
 

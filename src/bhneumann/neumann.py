@@ -36,7 +36,7 @@ from .perm import Permutation, check_generators
 from .seqgen import SequenceSet
 from .words import commutator as word_commutator
 from .words import conjugate as word_conjugate
-from .words import enumerate_reduced, invert
+from .words import ALPHABET, _SUCCESSORS, invert
 from .wreath import WreathElement, lamp_counts, w_eval
 
 __all__ = [
@@ -94,7 +94,7 @@ class GroupContext:
             d, r = self.generator_pairs(m)[m - 1]
             b = {0: r, r: 2 * r, 2 * r: 0}
             rows = [(1, {}), (-1, {}), (0, b), (0, {v: k for k, v in b.items()})]
-            joined = b"".join(_kernels.image(d, s, sigma) for s, sigma in rows)
+            joined = b"".join(_kernels.image(d, s, sigma.items()) for s, sigma in rows)
             tabs = self._tabs[m] = memoryview(joined).cast("i", (4, d))
         return tabs
 
@@ -133,7 +133,8 @@ class ElementSignature:
     since it fixes the signature bytes and digests.
 
     canonical_bytes builds each coordinate's int32 image with
-    _kernels.image only when asked, in the same layout as when the
+    _kernels.image only when asked, patched from the stored sorted
+    items as they are, in the same layout as when the
     signature held those bytes: n_class and the number of coordinates,
     then per coordinate d and the d int32 images in native byte order
     (little-endian on the hosts the pinned digests come from), then the
@@ -148,7 +149,7 @@ class ElementSignature:
         parts = [self.n_class.to_bytes(4, "big"), len(self.low_coords).to_bytes(4, "big")]
         for d, s, items in self.low_coords:
             parts.append(d.to_bytes(4, "big"))
-            parts.append(_kernels.image(d, s, dict(items)))
+            parts.append(_kernels.image(d, s, items))
         parts.append(self.wreath.shift.to_bytes(8, "big", signed=True))
         for pos, val in self.wreath.lamps:
             parts.append(pos.to_bytes(8, "big", signed=True))
@@ -163,7 +164,7 @@ def coordinate_eval(ctx: GroupContext, word: str, m: int) -> Permutation:
     """Image of the word at coordinate m, from its b-skeleton's normal form."""
     skeleton, shift = _kernels.skeleton(word)
     sigma = _kernels.eval_word(ctx.letter_tables(m), skeleton)
-    return Permutation(_kernels.image(ctx.degree(m), shift, sigma))
+    return Permutation(_kernels.image(ctx.degree(m), shift, sigma.items()))
 
 
 def _clears(ctx: GroupContext, m: int, span: int) -> bool:
@@ -365,19 +366,40 @@ def ball(
 ) -> list[tuple[str, ElementSignature]]:
     """Representatives of the distinct group elements of word length <= n.
 
-    Enumerates reduced words in shortlex order and calls signature once
-    per candidate (through the module name, so a wrapped signature sees
-    every call); a dict keyed on the signatures keeps each element's
-    shortlex-least representative.  Signatures hash and compare their
-    sparse normal forms by value, so the dict is exact and builds no
-    dense table; digests build image bytes only when asked.
+    Walks reduced words in shortlex order, level by level, and extends
+    only the words whose signature was new; a dict keyed on the
+    signatures keeps each element's shortlex-least representative, in
+    the order of first occurrence.  This is exact: every prefix of a
+    shortlex-least word is shortlex-least (if p x is least and p = q
+    with q before p, then q x reduces to a word before p x), so no
+    extension of a duplicate is a first occurrence.  signature is
+    called once per generated candidate, through the module name, so a
+    wrapped signature sees every call.  Signatures hash and compare
+    their sparse normal forms by value, so the dict is exact and builds
+    no dense table; digests build image bytes only when asked.
+
+    The budget bounds all 2(3^n - 1) + 1 reduced words of length <= n
+    and is checked up front, before any signature; pruning makes fewer
+    calls (47 of the 53 words at n = 3 on the toy profile).  n < 0
+    raises ValueError.
     """
-    candidates = 2 * (3**n - 1) + 1 if n >= 1 else 1
+    if n < 0:
+        raise ValueError(f"ball radius must be >= 0, got {n}")
+    candidates = 2 * (3**n - 1) + 1
     if candidates > budget:
         raise BudgetExceeded(
             f"ball({n}) needs {candidates} candidate words, budget {budget}"
         )
-    first: dict[ElementSignature, str] = {}
-    for w in enumerate_reduced(n):
-        first.setdefault(signature(ctx, w, n), w)
+    first = {signature(ctx, "", n): ""}
+    level = [""]
+    for _ in range(n):
+        grown = []
+        for w in level:
+            for ch in _SUCCESSORS[w[-1]] if w else ALPHABET:
+                u = w + ch
+                sig = signature(ctx, u, n)
+                if sig not in first:
+                    first[sig] = u
+                    grown.append(u)
+        level = grown
     return [(w, sig) for sig, w in first.items()]

@@ -155,7 +155,7 @@ def test_c04_commuting_criterion(actx, capsys):
             for m in range(1, top + 1):
                 d = actx.degree(m)
                 sigma = _kernels.eval_word(actx.letter_tables(m), skeleton)
-                images = _kernels.image(d, shift, sigma)
+                images = _kernels.image(d, shift, sigma.items())
                 trivial = bool((images == np.arange(d, dtype=np.int32)).all())
                 cases += 1
                 if trivial != (m != n):

@@ -926,8 +926,9 @@ def test_ball_matches_pairwise_oracle(toy_ctx):
         assert got == reps
 
 
-def test_ball_calls_signature_once_per_candidate(toy_ctx, monkeypatch):
-    calls = []
+def counted_signature(monkeypatch) -> list[str]:
+    """Patch neumann.signature to record each word it is asked for; returns the record."""
+    calls: list[str] = []
     real = neumann.signature
 
     def counted(ctx, word, n_class):
@@ -935,9 +936,72 @@ def test_ball_calls_signature_once_per_candidate(toy_ctx, monkeypatch):
         return real(ctx, word, n_class)
 
     monkeypatch.setattr(neumann, "signature", counted)
-    assert len(ball(toy_ctx, 3)) == 41
-    assert calls == list(enumerate_reduced(3))
-    assert len(calls) == 2 * (3**3 - 1) + 1 == 53
+    return calls
+
+
+def full_ball(ctx, n: int) -> list:
+    """The reference ball: every reduced word of length <= n signed, the first signature wins."""
+    first = {}
+    for w in enumerate_reduced(n):
+        first.setdefault(signature(ctx, w, n), w)
+    return [(w, sig) for sig, w in first.items()]
+
+
+def shortlex(word: str) -> tuple:
+    return len(word), ["aAbB".index(c) for c in word]
+
+
+def test_ball_calls_signature_once_per_candidate(toy_ctx, monkeypatch):
+    # ball extends only the words it returns: the empty word, then each
+    # one-letter reduced extension of a returned word shorter than 3
+    calls = counted_signature(monkeypatch)
+    elems = ball(toy_ctx, 3)
+    assert len(elems) == 41
+    reps = [w for w, _ in elems]
+    extensions = {
+        w + c for w in reps if len(w) < 3 for c in "aAbB" if free_reduce(w + c) == w + c
+    }
+    assert calls[0] == ""
+    assert set(calls[1:]) == extensions
+    assert len(set(calls)) == len(calls) == 47
+    assert calls == sorted(calls, key=shortlex)
+
+
+def test_ball_signature_call_counts(toy_ctx, monkeypatch):
+    calls = counted_signature(monkeypatch)
+    counts = []
+    for n in range(1, 7):
+        calls.clear()
+        ball(toy_ctx, n)
+        counts.append(len(calls))
+    assert counts == [5, 17, 47, 125, 299, 689]
+
+
+def test_ball_matches_full_enumeration(toy_ctx):
+    # the pruned walk returns the reference list, words and signatures in order
+    builtin = GroupContext(SequenceSet(GrowthProfile.builtin()))
+    for ctx, top in ((toy_ctx, 6), (builtin, 5)):
+        for n in range(top + 1):
+            assert ball(ctx, n) == full_ball(ctx, n), n
+
+
+def test_ball_matches_full_enumeration_on_short_presets():
+    # r(m) <= m: coordinates with small offsets identify many words
+    rng = random.Random(28)
+    for _ in range(8):
+        d = [rng.choice((5, 7, 11, 13)) for _ in range(rng.randint(1, 4))]
+        r = [rng.randint(1, min(m, (x - 1) // 2)) for m, x in enumerate(d, 1)]
+        ctx = GroupContext(SequenceSet.preset(d, r))
+        for n in range(6):
+            got, want = ball(ctx, n), full_ball(ctx, n)
+            assert got == want, (d, r, n)
+        assert len(got) < 2 * (3**5 - 1) + 1
+
+
+def test_ball_radius_zero_and_negative(toy_ctx):
+    assert ball(toy_ctx, 0) == [("", signature(toy_ctx, "", 0))]
+    with pytest.raises(ValueError):
+        ball(toy_ctx, -1)
 
 
 def test_ball_budget(toy_ctx):
