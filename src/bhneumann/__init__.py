@@ -25,6 +25,7 @@ from .words import (
     enumerate_reduced,
     free_reduce,
     invert,
+    random_codes,
     random_reduced,
 )
 from .wreath import WreathElement, w_eval
@@ -87,6 +88,7 @@ __all__ = [
     "enumerate_reduced",
     "free_reduce",
     "invert",
+    "random_codes",
     "random_reduced",
     "WreathElement",
     "w_eval",

@@ -38,7 +38,8 @@ Shared conventions:
   only d = ``tabs.shape[1]`` and, in ``eval_word`` (the entry point of
   every coordinate test), r = ``tabs[2, 0]``.  Letter codes are a=0,
   A=1, b=2, B=3, so ``code ^ 1`` is the inverse letter; only
-  ``check_random_words`` walks codes (lists of ints, ``words.to_codes``).
+  ``check_random_words`` walks codes (lists of ints, as
+  ``words.random_codes`` gives them).
 * Words act right to left: the image of l1 l2 ... ln is l1 o ... o ln.
 * ``scan_tree`` and ``check_random_words`` read b only at shifts -w..w
   (w the depth, or the longest word): ``_slots`` numbers the points

@@ -23,7 +23,7 @@ from .neumann import GroupContext, _identity_at, _witness_word, ball, spread_ok,
 from .schreier import build_chain, group_order, verify_alt_generation
 from .perm import make_generators
 from .seqgen import GrowthProfile, SequenceSet
-from .words import random_reduced, to_codes
+from .words import random_codes
 
 __all__ = ["RunConfig", "main", "cmd_build", "cmd_verify", "cmd_growth", "cmd_oracle"]
 
@@ -221,8 +221,7 @@ def _check_locality(cfg: RunConfig, ctx: GroupContext, report: _Report) -> None:
         if spread_ok(ctx, m, length):
             rand_coords.append(m)
         m += 1
-    words = [random_reduced(length, cfg.seed + i) for i in range(200)]
-    codes = [to_codes(w) for w in words]
+    codes = random_codes(length, range(cfg.seed, cfg.seed + 200))
     for m in rand_coords:
         nwords, fails = _kernels.check_random_words(ctx.letter_tables(m), ctx.offset(m), codes)
         report.add(

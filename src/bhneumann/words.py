@@ -5,22 +5,32 @@ case letter is the inverse of the lower case one.  The word problem
 reads words through ``_kernels.skeleton``, which reduces as it reads;
 ``free_reduce`` serves the word builders here.  The random-word kernel
 reads integer letter codes a=0, A=1, b=2, B=3, chosen so that
-``code ^ 1`` is the code of the inverse letter.
+``code ^ 1`` is the code of the inverse letter.  ``random_codes`` gives
+them for seeded random reduced words from one splitmix64 pass over all
+seeds, one 128-bit lane of a single int per seed; ``random_reduced`` is
+its one-seed case in letters.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+import sys
+from array import array
+from typing import Iterable, Iterator
 
 ALPHABET = "aAbB"
 CODE_OF = {c: i for i, c in enumerate(ALPHABET)}
 INVERSE_OF = {"a": "A", "A": "a", "b": "B", "B": "b"}
 
 _MASK64 = (1 << 64) - 1
+# splitmix64: the state increment and the two mixing multipliers
+_GAMMA, _MIX1, _MIX2 = 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
 
 # The three letters that may follow each letter in a reduced word, in
 # alphabet order.
 _SUCCESSORS = {c: "".join(x for x in ALPHABET if x != INVERSE_OF[c]) for c in ALPHABET}
+
+# The codes of the same three letters, indexed by the code of the letter
+_NEXT_CODES = tuple(tuple(x for x in range(4) if x != c ^ 1) for c in range(4))
 
 # str.translate tables: drop the alphabet, or swap each letter with its inverse
 _DROP_ALPHABET = str.maketrans("", "", ALPHABET)
@@ -92,11 +102,51 @@ def enumerate_reduced(max_len: int) -> Iterator[str]:
 
 def splitmix64(state: int) -> tuple[int, int]:
     """Advance one splitmix64 step; returns (new_state, output)."""
-    state = (state + 0x9E3779B97F4A7C15) & _MASK64
-    z = state
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    state = (state + _GAMMA) & _MASK64
+    z = ((state ^ (state >> 30)) * _MIX1) & _MASK64
+    z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
     return state, z ^ (z >> 31)
+
+
+def random_codes(length: int, seeds: Iterable[int]) -> list[list[int]]:
+    """Letter codes of ``random_reduced(length, seed)`` for every seed, in order.
+
+    One splitmix64 pass serves all seeds: the state of seed i is bits
+    128i..128i+63 of one int, and each step below acts on every lane at
+    once.  The lanes stay exact: after each mask a lane is below 2**64,
+    a sum is below 2**65 and a product of two 64-bit values fits in 128
+    bits; a right shift by 30, 27 or 31 moves a neighbour's low bits
+    only into the upper half of a lane, which the next mask, or the
+    final read of the low 64 bits, drops.
+    """
+    if length < 0:
+        raise ValueError("length must be nonnegative")
+    seeds = [s & _MASK64 for s in seeds]
+    n = len(seeds)
+    if not length:
+        return [[] for _ in seeds]
+    state = int.from_bytes(b"".join(s.to_bytes(16, "little") for s in seeds), "little")
+    lanes = int.from_bytes((b"\xff" * 8 + bytes(8)) * n, "little")
+    gamma = int.from_bytes((b"\x01" + bytes(15)) * n, "little") * _GAMMA
+    steps = []
+    for _ in range(length):
+        state = (state + gamma) & lanes
+        z = ((state ^ (state >> 30)) & lanes) * _MIX1 & lanes
+        z = ((z ^ (z >> 27)) & lanes) * _MIX2 & lanes
+        steps.append((z ^ (z >> 31)).to_bytes(16 * n, "little"))
+    flat = array("Q", b"".join(steps))
+    if sys.byteorder == "big":
+        flat.byteswap()
+    rows = []
+    for i in range(n):
+        zs = flat[2 * i :: 2 * n]
+        c = zs[0] % 4
+        row = [c]
+        for z in zs[1:]:
+            c = _NEXT_CODES[c][z % 3]
+            row.append(c)
+        rows.append(row)
+    return rows
 
 
 def random_reduced(length: int, seed: int) -> str:
@@ -105,23 +155,10 @@ def random_reduced(length: int, seed: int) -> str:
     The first letter is uniform over the four letters; each later letter
     is uniform over the three letters that do not cancel the previous
     one.  The stream is splitmix64 seeded with ``seed``, so equal seeds
-    give equal words on every platform.
+    give equal words on every platform.  This is the one-seed case of
+    ``random_codes``, spelled in letters.
     """
-    if length < 0:
-        raise ValueError("length must be nonnegative")
-    # splitmix64 inlined: the same stream as repeated splitmix64 calls
-    state = seed & _MASK64
-    out = []
-    choices = ALPHABET
-    for _ in range(length):
-        state = (state + 0x9E3779B97F4A7C15) & _MASK64
-        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        z ^= z >> 31
-        ch = choices[z % len(choices)]
-        out.append(ch)
-        choices = _SUCCESSORS[ch]
-    return "".join(out)
+    return "".join([ALPHABET[c] for c in random_codes(length, (seed,))[0]])
 
 
 def to_codes(word: str) -> list[int]:

@@ -1,6 +1,7 @@
 import pytest
 
 import bhneumann as bn
+from bhneumann.words import splitmix64
 
 
 @pytest.fixture(scope="session")
@@ -34,6 +35,25 @@ def enumerate_dfs(max_len: int) -> list[str]:
 
     walk("")
     return out
+
+
+def splitmix_codes(length: int, seed: int) -> list[int]:
+    """Letter codes of a seeded random reduced word, one splitmix64 call per letter.
+
+    The scalar reference stream for ``words.random_codes`` and
+    ``random_reduced``: the state starts at the seed mod 2**64, the first
+    code is z % 4 and each later one is the (z % 3)-th, in code order, of
+    the three codes that do not cancel the previous one.
+    """
+    state = seed % 2**64
+    codes: list[int] = []
+    for _ in range(length):
+        state, z = splitmix64(state)
+        if codes:
+            codes.append([c for c in range(4) if c != codes[-1] ^ 1][z % 3])
+        else:
+            codes.append(z % 4)
+    return codes
 
 
 def lamp_oracle(word: str) -> bn.WreathElement:

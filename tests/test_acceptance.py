@@ -30,7 +30,7 @@ from bhneumann import (
     identity,
     make_generators,
     next_prime,
-    random_reduced,
+    random_codes,
     sieve,
     spread_ok,
     stirling_check,
@@ -39,7 +39,7 @@ from bhneumann import (
     witness,
 )
 from bhneumann import _kernels
-from bhneumann.words import commutator, conjugate, to_codes
+from bhneumann.words import commutator, conjugate
 
 
 def _report(capsys, name: str, ok: bool, seconds: float) -> None:
@@ -128,8 +128,7 @@ def test_c03_locality(capsys):
             assert int(nodes) == 13_120
             assert int(fails) == 0
         # randomized: 10^4 seeded words of length 64
-        words = [random_reduced(64, seed) for seed in range(10_000)]
-        batch = np.stack([to_codes(w) for w in words])
+        batch = np.array(random_codes(64, range(10_000)))
         for k in coords64:
             nwords, fails = _kernels.check_random_words(
                 ctx.letter_tables(k), ctx.offset(k), batch

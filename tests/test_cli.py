@@ -11,6 +11,7 @@ import pytest
 import bhneumann
 from bhneumann import SequenceSet, cli, growth
 from bhneumann.cli import RunConfig, _Report, main
+from bhneumann.words import random_reduced, to_codes
 
 
 def run(capsys, argv):
@@ -81,6 +82,24 @@ def test_verify_passes(capsys):
     for section in ("generation", "commuting", "locality_exhaustive",
                     "locality_random", "greedy"):
         assert any(l.startswith(section + "\t") for l in out.splitlines())
+
+
+def test_verify_checks_the_seeded_random_words(capsys, monkeypatch):
+    # every word passes, so stdout cannot show which words were checked
+    seen = []
+    check = cli._kernels.check_random_words
+
+    def recorded(tabs, r, codes2d):
+        seen.append(codes2d)
+        return check(tabs, r, codes2d)
+
+    monkeypatch.setattr(cli._kernels, "check_random_words", recorded)
+    rc, _, _ = run(capsys, ["verify", "--profile", "toy", "--n", "3", "--seed", "11"])
+    assert rc == 0
+    expected = [to_codes(random_reduced(32, 11 + i)) for i in range(200)]
+    assert len(seen) == 3
+    for rows in seen:
+        assert rows == expected
 
 
 def test_oracle_ball_sizes(capsys):

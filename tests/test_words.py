@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bhneumann import words as W
-from conftest import enumerate_dfs
+from conftest import enumerate_dfs, splitmix_codes
 
 
 def reduce_oracle(raw: str) -> str:
@@ -116,25 +116,34 @@ def test_random_reduced_contract():
     assert W.random_reduced(24, 1234) == "BBAAABABaBaBaaBBABAABBBA"  # pinned stream
 
 
-def random_reduced_by_calls(length: int, seed: int) -> str:
-    """random_reduced as a loop over splitmix64 calls, the reference stream."""
-    if length == 0:
-        return ""
-    state, z = W.splitmix64(seed & ((1 << 64) - 1))
-    out = [W.ALPHABET[z % 4]]
-    for _ in range(length - 1):
-        state, z = W.splitmix64(state)
-        choices = [c for c in W.ALPHABET if c != W.INVERSE_OF[out[-1]]]
-        out.append(choices[z % 3])
-    return "".join(out)
+def test_random_reduced_pinned_words():
+    # literal words, so a bug shared by the library and splitmix_codes cannot hide
+    assert W.random_reduced(12, 2024) == "ABabbABBAbbb"
+    assert W.random_reduced(40, -1) == "aabaabABabAbAbAbAAABaaaBaaBBBabbbbbbaBaa"
+    assert W.random_reduced(33, 2**64 + 3) == "AAABababbaaabAbabABABaabbbABABaaa"
 
 
 def test_random_reduced_matches_splitmix64_calls():
-    for seed in range(500):
-        for length in (0, 1, 2, 7, 32):
-            assert W.random_reduced(length, seed) == random_reduced_by_calls(length, seed)
-    for seed in (-1, -12345, 2**64 + 3, 2**70 - 1):
-        assert W.random_reduced(20, seed) == random_reduced_by_calls(20, seed)
+    folded = (0, -1, 2**64 - 1, 2**64 + 3)
+    for length in range(71):
+        expected = [splitmix_codes(length, seed) for seed in folded]
+        assert W.random_codes(length, folded) == expected
+        for seed, codes in zip(folded, expected):
+            assert W.random_reduced(length, seed) == "".join(W.ALPHABET[c] for c in codes)
+
+
+def test_random_codes_batches_match_one_seed_at_a_time():
+    rng = random.Random(29)
+    mixed = [rng.randrange(-2**70, 2**70) for _ in range(150)] + [
+        rng.randrange(2**64) for _ in range(150)
+    ]
+    assert W.random_codes(33, mixed) == [splitmix_codes(33, s) for s in mixed]
+    assert W.random_codes(9, range(5, 45)) == [splitmix_codes(9, s) for s in range(5, 45)]
+    assert W.random_codes(7, []) == []
+    assert W.random_codes(0, range(3)) == [[], [], []]
+    for bad in (lambda: W.random_codes(-1, [1]), lambda: W.random_reduced(-1, 1)):
+        with pytest.raises(ValueError):
+            bad()
 
 
 def test_random_reduced_zero_length():
