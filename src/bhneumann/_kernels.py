@@ -11,9 +11,13 @@ a letter to a word with normal form (s, sigma):
   conjugated by rho^s; B composes with its inverse.  This touches at
   most 3 points of sigma.
 
-The cost per letter does not depend on d.  Only ``image`` builds a
-dense table: for letter tables, signature digests,
-``neumann.coordinate_eval`` and the rare dense case of ``canonical_form``.
+The cost per letter does not depend on d.  When the b letters' shifts
+lie in lo .. lo + span, r <= span and span + 2r < d, ``eval_word``
+keeps sigma as a list over the points lo .. lo + span + 2r, indexed
+by plain offsets: at most 3 span + 1 entries, whatever d is.  Only
+``image`` builds a d-sized table: for letter tables, signature digests,
+``neumann.coordinate_eval`` and the rare dense case of
+``canonical_form``.
 
 s = 0 (mod d) with sigma empty implies P is the identity.  The converse
 holds for a zero a-exponent sum or under spread (sigma moves fewer than
@@ -74,7 +78,8 @@ HAVE_NUMBA = False
 def _append_b(sigma: dict, s: int, r: int, d: int, c: int) -> None:
     """sigma o (x y z) in place, (x, y, z) = (s, s+r, s+2r) mod d for b (c = 2), reversed for B.
 
-    The same step on ``_slots`` is one list assignment in the locality walks.
+    The same step is one list assignment on ``eval_word``'s window and on
+    ``_slots`` in the locality walks.
     """
     x = s % d
     y = (x + r) % d
@@ -100,8 +105,38 @@ def _append_b(sigma: dict, s: int, r: int, d: int, c: int) -> None:
 
 
 def eval_word(tabs: memoryview, skeleton: list[tuple[int, int]]) -> dict:
-    """skeleton_form at the (d, r) of tabs; skeleton is the pair list of ``skeleton``."""
-    return skeleton_form(skeleton, int(tabs[2, 0]), tabs.shape[1])
+    """skeleton_form at the (d, r) of tabs; skeleton is the pair list of ``skeleton``.
+
+    With lo the least shift of the skeleton and span the spread of its
+    shifts, every 3-cycle moves points among lo .. lo + span + 2r.  When
+    r <= span and span + 2r < d, those points are distinct mod d and at
+    most 3 span + 1, whatever d is: sigma is a list over them, each b or
+    B is one swap at offsets x = t - lo, x + r, x + 2r, and the moved
+    entries are mapped back mod d at the end.  Otherwise (r > span, where
+    the window would grow with r, or a window that wraps mod d) it is
+    skeleton_form's dict.
+    """
+    if not skeleton:
+        return {}
+    d, r = tabs.shape[1], int(tabs[2, 0])
+    lo = min(skeleton)[0]
+    span = max(skeleton)[0] - lo
+    n = span + 2 * r + 1
+    if r > span or n > d:
+        return skeleton_form(skeleton, r, d)
+    ident = list(range(n))
+    p = ident[:]
+    for t, c in skeleton:
+        x = t - lo
+        y = x + r
+        z = y + r
+        if c == 2:
+            p[x], p[y], p[z] = p[y], p[z], p[x]
+        else:
+            p[x], p[y], p[z] = p[z], p[x], p[y]
+    if p == ident:
+        return {}
+    return {(lo + x) % d: (lo + v) % d for x, v in enumerate(p) if x != v}
 
 
 def skeleton(word: str) -> tuple[list[tuple[int, int]], int]:

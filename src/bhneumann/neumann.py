@@ -36,7 +36,7 @@ from .perm import Permutation, check_generators
 from .seqgen import SequenceSet
 from .words import commutator as word_commutator
 from .words import conjugate as word_conjugate
-from .words import ALPHABET, _SUCCESSORS, invert
+from .words import ALPHABET, _SUCCESSORS, _check_letters, invert
 from .wreath import WreathElement, lamp_counts, w_eval
 
 __all__ = [
@@ -251,25 +251,34 @@ def _identity_at(ctx: GroupContext, skeleton: list[tuple[int, int]], m: int) -> 
 def is_trivial(ctx: GroupContext, word: str) -> bool:
     """Exact word problem: lamp state plus coordinates up to the span cutoff.
 
-    The word is read once, reducing as it goes, into the b-skeleton of
-    its free reduction (``_kernels.skeleton``); no reduced string is
-    built.  A word with nontrivial lamp state is nontrivial.  Otherwise
-    its shift is 0 and, at every coordinate, its image is the product,
-    in word order, of the 3-cycles tau_i = (i, i+r, i+2r) mod d, or
-    their inverses, over the shifts i at which the reduced word reads b
-    or B.  Let W be the span (max - min) of those shifts.  For two of
-    them, i != j, the supports of tau_i and tau_j meet only if
-    i - j = 0, +-r or +-2r (mod d).  With |i - j| <= W, r > W and
-    d - 2r > W, none of these can hold, so all the tau_i commute and the
-    image is the product of tau_i to the power of the lamp at i, which
-    is the identity because every lamp is 0.  So only the coordinates up
-    to span_cutoff(W) can see the word, and exactly those are checked.
+    After the letter check, letter counts give the image of the lamp
+    state in Z x Z/3, the shift (a minus A) and the lamp sum (b minus B
+    mod 3); free reduction changes neither, and a word with either one
+    nonzero has nontrivial lamp state, so it is answered False before
+    any reading.  Otherwise the word is read once, reducing as it goes,
+    into the b-skeleton of its free reduction (``_kernels.skeleton``);
+    no reduced string is built.  A word with nontrivial lamp state is
+    nontrivial.  Otherwise its shift is 0 and, at every coordinate, its
+    image is the product, in word order, of the 3-cycles
+    tau_i = (i, i+r, i+2r) mod d, or their inverses, over the shifts i
+    at which the reduced word reads b or B.  Let W be the span
+    (max - min) of those shifts.  For two of them, i != j, the supports
+    of tau_i and tau_j meet only if i - j = 0, +-r or +-2r (mod d).
+    With |i - j| <= W, r > W and d - 2r > W, none of these can hold, so
+    all the tau_i commute and the image is the product of tau_i to the
+    power of the lamp at i, which is the identity because every lamp is
+    0.  So only the coordinates up to span_cutoff(W) can see the word,
+    and exactly those are checked.
 
     On a preset the answer is for the tower whose first coordinates are
     the preset's and whose later ones clear every span (see
     SequenceSet.preset): the lamp state still decides, so a word that is
     the identity at every preset coordinate can be nontrivial.
     """
+    _check_letters(word)
+    # the image of the lamp state in Z x Z/3: its shift and its lamp sum
+    if word.count("a") != word.count("A") or (word.count("b") - word.count("B")) % 3:
+        return False
     skeleton, shift = _kernels.skeleton(word)
     if not skeleton and not shift:  # the word reduces to the empty word
         return True

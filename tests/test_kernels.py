@@ -1,18 +1,23 @@
 """Sparse coordinate kernels against dense table composition."""
 
+import random
 import time
 import tracemalloc
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import bhneumann._kernels as K
-from bhneumann import DegreeTooLarge, enumerate_reduced, inverse, make_generators, random_reduced
+from bhneumann import (
+    DegreeTooLarge, GroupContext, SequenceSet, enumerate_reduced, inverse, make_generators,
+    random_reduced,
+)
 from bhneumann.perm import MAX_DEGREE, Permutation, compose, cycle_from, identity, power
 from bhneumann.words import to_codes
 from conftest import enumerate_dfs, lamp_oracle
-from test_neumann import dense_trivial_bitmap
+from test_neumann import dense_images, dense_trivial_bitmap, lamp_trivial_word
 
 
 def tabs_of(d: int, r: int) -> np.ndarray:
@@ -101,6 +106,77 @@ def test_skeleton_form_matches_eval_word():
         for seed in range(8):
             skeleton, _ = K.skeleton(random_reduced(length, seed))
             assert K.skeleton_form(skeleton, r, d) == K.eval_word(tabs, skeleton)
+
+
+def eval_branch(d: int, r: int, skeleton) -> str:
+    """The path eval_word takes: the window over lo .. lo + span + 2r, or skeleton_form's dict."""
+    shifts = [t for t, _ in skeleton]
+    span = max(shifts) - min(shifts)
+    if r > span:
+        return "r > span"
+    if span + 2 * r >= d:
+        return "span + 2r >= d"
+    return "window"
+
+
+def spread_cube_word(rng: random.Random) -> str:
+    """A product of conjugates of b^3 and B^3 by powers of a: the identity, any span."""
+    w = ""
+    for _ in range(rng.randint(1, 4)):
+        k = rng.randint(-12, 12)
+        g, g_inv = ("a" * k, "A" * k) if k >= 0 else ("A" * -k, "a" * -k)
+        w += g + rng.choice(("bbb", "BBB")) + g_inv
+    return w
+
+
+def test_eval_word_window_and_fallback_match_dense():
+    # seeded (d, r, word) triples on both sides of the window condition;
+    # on 13 points, 200-letter words carry their shifts past d, and
+    # random words reach negative shifts
+    rng = random.Random(31)
+    seen = Counter()
+    for _ in range(400):
+        d = rng.choice((7, 11, 13, 13, 29, 61, 211))
+        r = rng.randint(1, (d - 1) // 2)
+        kind = rng.randrange(3)
+        if kind == 0:
+            w = random_reduced(rng.randint(1, 200 if d == 13 else 60), rng.randrange(2**32))
+        elif kind == 1:
+            w = lamp_trivial_word(rng) or "b"
+        else:
+            w = spread_cube_word(rng)
+        skeleton, shift = K.skeleton(w)
+        if not skeleton:
+            continue
+        sigma = K.eval_word(tabs_of(d, r), skeleton)
+        assert sigma == K.skeleton_form(skeleton, r, d), (d, r, w)
+        assert np.array_equal(K.image(d, shift, sigma.items()), dense_image(d, r, w).images)
+        branch = eval_branch(d, r, skeleton)
+        seen[branch, bool(sigma)] += 1
+        seen["negative shift"] += min(skeleton)[0] < 0
+    assert min(seen.values()) >= 10, seen
+    assert len(seen) == 7, seen
+
+
+def test_eval_word_on_presets_squeezed_below_the_span():
+    # d - 2r <= span at the first coordinates: eval_word on the context's
+    # own letter tables falls back to the dict and still matches perm.compose
+    rng = random.Random(32)
+    presets = [SequenceSet.preset([7, 17, 19], [3, 2, 5]), SequenceSet.preset([11, 13], [5, 6])]
+    seen = Counter()
+    for seqs in presets:
+        ctx = GroupContext(seqs)
+        for _ in range(40):
+            w = lamp_trivial_word(rng) or "b"
+            skeleton, shift = K.skeleton(w)
+            for m, want in enumerate(dense_images(seqs, w), 1):
+                d, r = seqs.d_of(m), seqs.r_of(m)
+                sigma = K.eval_word(ctx.letter_tables(m), skeleton)
+                assert sigma == K.skeleton_form(skeleton, r, d)
+                assert np.array_equal(K.image(d, shift, sigma.items()), want.images), (m, w)
+                if skeleton:
+                    seen[eval_branch(d, r, skeleton)] += 1
+    assert min(seen.values()) >= 20 and len(seen) == 3, seen
 
 
 def test_eval_word_shift_past_int8_range():
@@ -236,19 +312,40 @@ def test_walks_match_dense_reference_at_every_offset(d):
     assert failing > 0  # every d here has offsets whose overlays collide
 
 
+class DegreeOnly:
+    """Stands in for letter tables of degree d and offset r: shape and tabs[2, 0] = r only."""
+
+    def __init__(self, d: int, r: int):
+        self.shape = (4, d)
+        self.r = r
+
+    def __getitem__(self, key):
+        assert key == (2, 0)
+        return self.r
+
+
 def test_walks_size_nothing_by_the_degree():
     # bprime's d(1): one dense row of that degree would take about 3 TB
-    tabs = SimpleNamespace(shape=(4, 766409539403))
-    r = 10**11
+    d, r = 766409539403, 10**11
+    tabs = DegreeOnly(d, r)
     rows = [to_codes(random_reduced(10, 40 + i)) for i in range(20)]
+    # eval_word at r = 10**11 takes skeleton_form's dict; at r = 3 <= span the window
+    skeletons = [K.skeleton(random_reduced(40, 60 + i))[0] for i in range(20)]
+    skeletons = [sk for sk in skeletons if eval_branch(d, 3, sk) == "window"]
+    assert len(skeletons) >= 15
     tracemalloc.start()
     try:
         start = time.perf_counter()
         assert K.scan_tree(tabs, r, 4) == (160, 0)
         assert K.check_random_words(tabs, r, rows) == (20, 0)
+        far = [K.eval_word(tabs, sk) for sk in skeletons]
+        near = [K.eval_word(DegreeOnly(d, 3), sk) for sk in skeletons]
         elapsed = time.perf_counter() - start
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert elapsed < 0.5
     assert peak < 1 << 20
+    assert far == [K.skeleton_form(sk, r, d) for sk in skeletons]
+    assert near == [K.skeleton_form(sk, 3, d) for sk in skeletons]
+    assert all(far) and all(near)

@@ -695,6 +695,58 @@ def test_tracer_reads_eval_word_per_coordinate_and_b_letter(toy_ctx):
     assert tracer.counts["kernels.eval_word_letters"] == b_letters
 
 
+def test_abelian_pre_check_rejects_only_lamp_rejected_words(toy_ctx, monkeypatch):
+    # is_trivial answers False from the letter counts alone, without reading
+    # the word, exactly when the image of the lamp state in Z x Z/3 (the
+    # shift, the lamp sum mod 3) is nonzero; each such word has _lamp_span None
+    rng = random.Random(24)
+    short = GroupContext(SequenceSet.preset([7, 17, 19], [3, 2, 5]))
+    read = []
+    skeleton = _kernels.skeleton
+
+    def counted(word):
+        read.append(word)
+        return skeleton(word)
+
+    monkeypatch.setattr(_kernels, "skeleton", counted)
+    seen = {"skipped": 0, "read_lamp_rejected": 0, "read_lamp_trivial": 0, "equal": 0}
+    words = list(unreduced_words(rng, 2000))
+    for _ in range(500):  # lamps 1 and 2 at shifts 0 and k: sums 0, lamp state not
+        k = rng.randint(1, 6)
+        block = rng.choice(("b" + "a" * k + "B" + "A" * k, "B" + "A" * k + "b" + "a" * k))
+        w = lamp_trivial_word(rng)
+        pos = rng.randint(0, len(w))
+        words.append(w[:pos] + block + w[pos:])
+    for w in words:
+        lamps = lamp_oracle(w)
+        abelian = lamps.shift != 0 or sum(v for _, v in lamps.lamps) % 3 != 0
+        k = rng.randint(0, len(w))
+        u, v = w[:k], invert(w[k:])  # equal(u, v) asks is_trivial(u v^-1) = is_trivial(w)
+        for ctx in (toy_ctx, short):
+            for ask in (lambda: is_trivial(ctx, w), lambda: equal(ctx, u, v)):
+                read.clear()
+                got = ask()
+                assert (not read) == abelian, w
+                if abelian:
+                    assert not got
+                    assert neumann._lamp_span(*skeleton(w)) is None, w
+        seen["skipped"] += abelian
+        seen["read_lamp_rejected"] += not abelian and not lamps.is_identity()
+        seen["read_lamp_trivial"] += lamps.is_identity()
+        seen["equal"] += 0 < k < len(w)
+    assert min(seen.values()) >= 300, seen
+
+
+@pytest.mark.parametrize("word", ["ax", "xa", "abx", "bbx", "aaAbBy", "éb"])
+def test_pre_check_raises_on_bad_letters_before_counting(toy_ctx, word):
+    # every word here is rejected by its counts once the bad letter is dropped
+    bad = next(ch for ch in word if ch not in "aAbB")
+    with pytest.raises(ValueError, match=repr(bad)):
+        is_trivial(toy_ctx, word)
+    with pytest.raises(ValueError, match=repr(bad)):
+        equal(toy_ctx, word, "")
+
+
 def test_is_trivial_small_span_on_bprime():
     # d(1) is far past the dense table limit; a span-1 word never needs it
     ctx = GroupContext(SequenceSet(GrowthProfile.bprime()))
