@@ -11,10 +11,15 @@ a letter to a word with normal form (s, sigma):
   conjugated by rho^s; B composes with its inverse.  This touches at
   most 3 points of sigma.
 
-The cost per letter does not depend on d.  When the b letters' shifts
-lie in lo .. lo + span, r <= span and span + 2r < d, ``eval_word``
-keeps sigma as a list over the points lo .. lo + span + 2r, indexed
-by plain offsets: at most 3 span + 1 entries, whatever d is.  Only
+The cost per letter does not depend on d.  A word's *window* is lo,
+the least shift of its b letters, and span, the spread of those
+shifts; the caller bounds each word once (``window``, or
+``neumann._lamp_window`` from the lamp counts) and passes lo and span
+to ``eval_word`` at every coordinate.  When r <= span, span + 2r < d
+and the window has at most 8 points per b letter, ``eval_word`` keeps
+sigma as a list over the points lo .. lo + span + 2r, indexed by plain
+offsets: at most min(3 span + 1, 8k) entries for k b letters, whatever
+d is.  Otherwise it is the dict, O(k) per coordinate.  Only
 ``image`` builds a d-sized table: for letter tables, signature digests,
 ``neumann.coordinate_eval`` and the rare dense case of
 ``canonical_form``.
@@ -104,25 +109,35 @@ def _append_b(sigma: dict, s: int, r: int, d: int, c: int) -> None:
         sigma[z] = vz
 
 
-def eval_word(tabs: memoryview, skeleton: list[tuple[int, int]]) -> dict:
+def window(skeleton: list[tuple[int, int]]) -> tuple[int, int]:
+    """(lo, span) of a b-skeleton: its least shift and the spread of its shifts; (0, 0) if empty."""
+    if not skeleton:
+        return 0, 0
+    lo = min(skeleton)[0]
+    return lo, max(skeleton)[0] - lo
+
+
+def eval_word(tabs: memoryview, skeleton: list[tuple[int, int]], lo: int, span: int) -> dict:
     """skeleton_form at the (d, r) of tabs; skeleton is the pair list of ``skeleton``.
 
-    With lo the least shift of the skeleton and span the spread of its
-    shifts, every 3-cycle moves points among lo .. lo + span + 2r.  When
-    r <= span and span + 2r < d, those points are distinct mod d and at
-    most 3 span + 1, whatever d is: sigma is a list over them, each b or
-    B is one swap at offsets x = t - lo, x + r, x + 2r, and the moved
-    entries are mapped back mod d at the end.  Otherwise (r > span, where
-    the window would grow with r, or a window that wraps mod d) it is
-    skeleton_form's dict.
+    lo is the least shift of the skeleton and span the spread of its
+    shifts, as ``window`` gives them: the caller bounds a word once and
+    passes the bound to every coordinate.  Every 3-cycle moves points
+    among lo .. lo + span + 2r, n = span + 2r + 1 of them.  When
+    r <= span, n <= d and n <= 8k (k b letters), those points are
+    distinct mod d and at most min(3 span + 1, 8k), whatever d is: sigma
+    is a list over them, each b or B is one swap at offsets x = t - lo,
+    x + r, x + 2r, and the moved entries are mapped back mod d at the
+    end.  Otherwise it is skeleton_form's dict, O(k) whatever span and r
+    are: r > span, where the window would grow with r; a window that
+    wraps mod d; or one more than 8 entries per b letter, as for a
+    witness word, 4 b letters over a span of r(m).
     """
     if not skeleton:
         return {}
     d, r = tabs.shape[1], int(tabs[2, 0])
-    lo = min(skeleton)[0]
-    span = max(skeleton)[0] - lo
     n = span + 2 * r + 1
-    if r > span or n > d:
+    if r > span or n > d or n > 8 * len(skeleton):
         return skeleton_form(skeleton, r, d)
     ident = list(range(n))
     p = ident[:]

@@ -196,8 +196,9 @@ def _check_commuting(cfg: RunConfig, ctx: GroupContext, report: _Report) -> None
     bad = 0
     for n in range(1, top + 1):
         skeleton, _ = _kernels.skeleton(_witness_word(ctx.offset(n)))
+        lo, span = _kernels.window(skeleton)
         for m in range(1, top + 1):
-            if _identity_at(ctx, skeleton, m) != (m != n):
+            if _identity_at(ctx, skeleton, lo, span, m) != (m != n):
                 bad += 1
     report.add(
         "commuting",

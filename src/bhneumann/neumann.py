@@ -163,7 +163,7 @@ class ElementSignature:
 def coordinate_eval(ctx: GroupContext, word: str, m: int) -> Permutation:
     """Image of the word at coordinate m, from its b-skeleton's normal form."""
     skeleton, shift = _kernels.skeleton(word)
-    sigma = _kernels.eval_word(ctx.letter_tables(m), skeleton)
+    sigma = _kernels.eval_word(ctx.letter_tables(m), skeleton, *_kernels.window(skeleton))
     return Permutation(_kernels.image(ctx.degree(m), shift, sigma.items()))
 
 
@@ -226,67 +226,82 @@ def _scan_span(ctx: GroupContext, span: int) -> int:
     return m0
 
 
-def _lamp_span(skeleton: list[tuple[int, int]], shift: int) -> int | None:
-    """The b-span of a word with trivial lamp state, from its b-skeleton; else None.
+def _lamp_window(skeleton: list[tuple[int, int]], shift: int) -> tuple[int, int] | None:
+    """The window (lo, span) of a word with trivial lamp state, from its b-skeleton; else None.
 
     The lamp state is trivial when the shift ends at 0 and every count
-    of wreath.lamp_counts is 0 mod 3.  The b-span is max - min of the
-    counts' keys, the skeleton's shifts, 0 if it has none; it is the
-    reduced word's span, since ``_kernels.skeleton`` reads the reduced
-    word's pairs.
+    of wreath.lamp_counts is 0 mod 3.  The counts' keys are the
+    skeleton's shifts: lo is the least and span (the b-span) is max -
+    min, (0, 0) if it has none.  That is the reduced word's window,
+    since ``_kernels.skeleton`` reads the reduced word's pairs, and
+    it is what ``_kernels.eval_word`` takes at every coordinate.
     """
     if shift:
         return None
     counts = lamp_counts(skeleton)
-    if any(v % 3 for v in counts.values()):
-        return None
-    return max(counts) - min(counts) if counts else 0
+    for v in counts.values():
+        if v % 3:
+            return None
+    if not counts:
+        return 0, 0
+    lo = min(counts)
+    return lo, max(counts) - lo
 
 
-def _identity_at(ctx: GroupContext, skeleton: list[tuple[int, int]], m: int) -> bool:
-    """Whether a word of a-exponent sum 0 is the identity at m, from its b-skeleton."""
-    return not _kernels.eval_word(ctx.letter_tables(m), skeleton)
+def _identity_at(ctx: GroupContext, skeleton: list[tuple[int, int]], lo: int, span: int,
+                 m: int) -> bool:
+    """Whether a word of a-exponent sum 0 is the identity at m, from its b-skeleton and window."""
+    return not _kernels.eval_word(ctx.letter_tables(m), skeleton, lo, span)
 
 
 def is_trivial(ctx: GroupContext, word: str) -> bool:
     """Exact word problem: lamp state plus coordinates up to the span cutoff.
 
-    After the letter check, letter counts give the image of the lamp
+    Four str.count calls come first.  When the counts do not add up to
+    len(word), some letter lies outside aAbB, and words._check_letters
+    raises ValueError naming it, before any answer; otherwise no
+    separate letter check runs.  The counts give the image of the lamp
     state in Z x Z/3, the shift (a minus A) and the lamp sum (b minus B
     mod 3); free reduction changes neither, and a word with either one
     nonzero has nontrivial lamp state, so it is answered False before
     any reading.  Otherwise the word is read once, reducing as it goes,
     into the b-skeleton of its free reduction (``_kernels.skeleton``);
     no reduced string is built.  A word with nontrivial lamp state is
-    nontrivial.  Otherwise its shift is 0 and, at every coordinate, its
-    image is the product, in word order, of the 3-cycles
-    tau_i = (i, i+r, i+2r) mod d, or their inverses, over the shifts i
-    at which the reduced word reads b or B.  Let W be the span
+    nontrivial (``_lamp_window``, which also bounds the word once: the
+    least shift lo and the span W of its b letters, passed to
+    ``_kernels.eval_word`` at every coordinate).  Otherwise its shift
+    is 0 and, at every coordinate, its image is the product, in word
+    order, of the 3-cycles tau_i = (i, i+r, i+2r) mod d, or their
+    inverses, over the shifts i at which the reduced word reads b or B.  Let W be the span
     (max - min) of those shifts.  For two of them, i != j, the supports
     of tau_i and tau_j meet only if i - j = 0, +-r or +-2r (mod d).
     With |i - j| <= W, r > W and d - 2r > W, none of these can hold, so
     all the tau_i commute and the image is the product of tau_i to the
     power of the lamp at i, which is the identity because every lamp is
     0.  So only the coordinates up to span_cutoff(W) can see the word,
-    and exactly those are checked.
+    and exactly those are checked, each in O(k) steps for k b letters
+    over at most min(3W + 1, 8k) window entries (``_kernels.eval_word``).
 
     On a preset the answer is for the tower whose first coordinates are
     the preset's and whose later ones clear every span (see
     SequenceSet.preset): the lamp state still decides, so a word that is
     the identity at every preset coordinate can be nontrivial.
     """
-    _check_letters(word)
+    a, A, b, B = word.count("a"), word.count("A"), word.count("b"), word.count("B")
+    if a + A + b + B != len(word):  # some letter is outside aAbB
+        _check_letters(word)
     # the image of the lamp state in Z x Z/3: its shift and its lamp sum
-    if word.count("a") != word.count("A") or (word.count("b") - word.count("B")) % 3:
+    if a != A or (b - B) % 3:
         return False
     skeleton, shift = _kernels.skeleton(word)
     if not skeleton and not shift:  # the word reduces to the empty word
         return True
-    span = _lamp_span(skeleton, shift)
-    if span is None:
+    window = _lamp_window(skeleton, shift)
+    if window is None:
         return False
+    lo, span = window
     for m in range(1, span_cutoff(ctx, span) + 1):
-        if not _identity_at(ctx, skeleton, m):
+        if not _identity_at(ctx, skeleton, lo, span, m):
             return False
     return True
 
@@ -354,15 +369,17 @@ def witness(ctx: GroupContext, m: int) -> str:
     if len(w) != 4 + 4 * R:
         raise WitnessCheckFailed(f"witness({m}) reduced to length {len(w)}")
     skeleton, shift = _kernels.skeleton(w)
-    if _lamp_span(skeleton, shift) is None:
+    window = _lamp_window(skeleton, shift)
+    if window is None:
         raise WitnessCheckFailed(f"witness({m}) has nontrivial lamp state")
+    lo, span = window
     m0 = span_cutoff(ctx, R)
     if m > m0:
         raise WitnessCheckFailed(
             f"witness({m}) has span cutoff {m0} below m"
         )
     for k in range(1, m0 + 1):
-        triv = _identity_at(ctx, skeleton, k)
+        triv = _identity_at(ctx, skeleton, lo, span, k)
         if k == m and triv:
             raise WitnessCheckFailed(f"witness({m}) trivial at its own coordinate")
         if k != m and not triv:

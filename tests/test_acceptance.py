@@ -151,9 +151,10 @@ def test_c04_commuting_criterion(actx, capsys):
         for n in range(1, top + 1):
             w = commutator("b", conjugate("b", "a" * actx.offset(n)))
             skeleton, shift = _kernels.skeleton(w)
+            lo, span = _kernels.window(skeleton)
             for m in range(1, top + 1):
                 d = actx.degree(m)
-                sigma = _kernels.eval_word(actx.letter_tables(m), skeleton)
+                sigma = _kernels.eval_word(actx.letter_tables(m), skeleton, lo, span)
                 images = _kernels.image(d, shift, sigma.items())
                 trivial = bool((images == np.arange(d, dtype=np.int32)).all())
                 cases += 1

@@ -11,8 +11,8 @@ import pytest
 
 import bhneumann._kernels as K
 from bhneumann import (
-    DegreeTooLarge, GroupContext, SequenceSet, enumerate_reduced, inverse, make_generators,
-    random_reduced,
+    DegreeTooLarge, GroupContext, GrowthProfile, SequenceSet, commutator, conjugate,
+    enumerate_reduced, inverse, make_generators, random_reduced, span_cutoff,
 )
 from bhneumann.perm import MAX_DEGREE, Permutation, compose, cycle_from, identity, power
 from bhneumann.words import to_codes
@@ -42,7 +42,7 @@ def dense_image(d: int, r: int, w: str):
 def eval_form(tabs, w: str) -> tuple[int, dict]:
     """(final shift, sigma) of w at the coordinate of tabs; its image is sigma o rho^shift."""
     skeleton, shift = K.skeleton(w)
-    return shift, K.eval_word(tabs, skeleton)
+    return shift, K.eval_word(tabs, skeleton, *K.window(skeleton))
 
 
 def word_batch(nwords: int, length: int, seed0: int) -> np.ndarray:
@@ -90,7 +90,7 @@ def test_eval_word_matches_permutation_composition():
         for seed in range(8):
             w = random_reduced(length, seed)
             skeleton, shift = K.skeleton(w)
-            sigma = K.eval_word(tabs, skeleton)
+            sigma = K.eval_word(tabs, skeleton, *K.window(skeleton))
             assert sigma == K.skeleton_form(skeleton, r, d)
             got = K.image(d, shift, sigma.items())
             assert np.array_equal(got, dense_image(d, r, w).images)
@@ -105,17 +105,24 @@ def test_skeleton_form_matches_eval_word():
         tabs = tabs_of(d, r)
         for seed in range(8):
             skeleton, _ = K.skeleton(random_reduced(length, seed))
-            assert K.skeleton_form(skeleton, r, d) == K.eval_word(tabs, skeleton)
+            sigma = K.eval_word(tabs, skeleton, *K.window(skeleton))
+            assert K.skeleton_form(skeleton, r, d) == sigma
 
 
 def eval_branch(d: int, r: int, skeleton) -> str:
-    """The path eval_word takes: the window over lo .. lo + span + 2r, or skeleton_form's dict."""
+    """The path eval_word takes: the window over lo .. lo + span + 2r, or skeleton_form's dict.
+
+    The dict is taken when r > span, when the window wraps mod d, or when
+    it holds more than 8 entries per b letter.
+    """
     shifts = [t for t, _ in skeleton]
     span = max(shifts) - min(shifts)
     if r > span:
         return "r > span"
     if span + 2 * r >= d:
         return "span + 2r >= d"
+    if span + 2 * r + 1 > 8 * len(skeleton):
+        return "window > 8k"
     return "window"
 
 
@@ -148,7 +155,7 @@ def test_eval_word_window_and_fallback_match_dense():
         skeleton, shift = K.skeleton(w)
         if not skeleton:
             continue
-        sigma = K.eval_word(tabs_of(d, r), skeleton)
+        sigma = K.eval_word(tabs_of(d, r), skeleton, *K.window(skeleton))
         assert sigma == K.skeleton_form(skeleton, r, d), (d, r, w)
         assert np.array_equal(K.image(d, shift, sigma.items()), dense_image(d, r, w).images)
         branch = eval_branch(d, r, skeleton)
@@ -171,7 +178,7 @@ def test_eval_word_on_presets_squeezed_below_the_span():
             skeleton, shift = K.skeleton(w)
             for m, want in enumerate(dense_images(seqs, w), 1):
                 d, r = seqs.d_of(m), seqs.r_of(m)
-                sigma = K.eval_word(ctx.letter_tables(m), skeleton)
+                sigma = K.eval_word(ctx.letter_tables(m), skeleton, *K.window(skeleton))
                 assert sigma == K.skeleton_form(skeleton, r, d)
                 assert np.array_equal(K.image(d, shift, sigma.items()), want.images), (m, w)
                 if skeleton:
@@ -187,7 +194,7 @@ def test_eval_word_shift_past_int8_range():
     skeleton, s = K.skeleton(w)
     assert skeleton == [(200, 2), (50, 3)] and s == 50
     assert all(type(x) is int for pair in skeleton for x in pair)
-    sigma = K.eval_word(tabs_of(d, r), skeleton)
+    sigma = K.eval_word(tabs_of(d, r), skeleton, *K.window(skeleton))
     assert list(K.image(d, s, sigma.items())) == list(dense_image(d, r, w).images)
 
 
@@ -338,8 +345,8 @@ def test_walks_size_nothing_by_the_degree():
         start = time.perf_counter()
         assert K.scan_tree(tabs, r, 4) == (160, 0)
         assert K.check_random_words(tabs, r, rows) == (20, 0)
-        far = [K.eval_word(tabs, sk) for sk in skeletons]
-        near = [K.eval_word(DegreeOnly(d, 3), sk) for sk in skeletons]
+        far = [K.eval_word(tabs, sk, *K.window(sk)) for sk in skeletons]
+        near = [K.eval_word(DegreeOnly(d, 3), sk, *K.window(sk)) for sk in skeletons]
         elapsed = time.perf_counter() - start
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -349,3 +356,48 @@ def test_walks_size_nothing_by_the_degree():
     assert far == [K.skeleton_form(sk, r, d) for sk in skeletons]
     assert near == [K.skeleton_form(sk, 3, d) for sk in skeletons]
     assert all(far) and all(near)
+
+
+def test_eval_word_work_is_bounded_by_the_b_letters(monkeypatch):
+    # A witness word of builtin m = 2000 has 4 b letters over a span of
+    # r(2000), and the wide word 8 over a span of 1001: at every coordinate
+    # its cutoff walks, the window would hold up to 3 span + 1 entries
+    # (10**4 for the witness); eval_word must take skeleton_form's dict,
+    # O(b letters) whatever span and r are
+    ctx = GroupContext(SequenceSet(GrowthProfile.builtin()))
+    R = ctx.offset(2000)
+    pair_word = [commutator("b", conjugate("b", "a" * k)) for k in (R, 1000, 1001)]
+    words = {"witness_2000": pair_word[0], "wide": pair_word[1] + pair_word[2]}
+    dict_calls = 0
+    skeleton_form = K.skeleton_form
+
+    def counted(skeleton, r, d):
+        nonlocal dict_calls
+        dict_calls += 1
+        return skeleton_form(skeleton, r, d)
+
+    monkeypatch.setattr(K, "skeleton_form", counted)
+    for name, w in words.items():
+        sk, _ = K.skeleton(w)
+        lo, span = K.window(sk)
+        assert len(sk) == (4 if name == "witness_2000" else 8) and 3 * span + 1 > 3000
+        top = span_cutoff(ctx, span)
+        pairs = ctx.generator_pairs(top)[:top]  # the context's list may run past top
+        assert top >= 600
+        dict_calls = 0
+        stand_ins = [DegreeOnly(d, r) for d, r in pairs]
+        peaks, got = [], []
+        tracemalloc.start()
+        try:
+            for tabs in stand_ins:
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                sigma = K.eval_word(tabs, sk, lo, span)
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+                got.append(sigma)
+        finally:
+            tracemalloc.stop()
+        assert max(peaks) < 2048, (name, max(peaks))
+        assert dict_calls == len(pairs), name
+        assert all(eval_branch(d, r, sk) != "window" for d, r in pairs), name
+        assert got == [skeleton_form(sk, r, d) for d, r in pairs], name

@@ -186,15 +186,21 @@ def test_negative_arguments_raise(toy_ctx):
             span_cutoff(ctx, -1)
 
 
-def b_shift_span(word: str) -> int:
-    """max - min of the shifts at which the word reads b or B; 0 if none."""
+def b_shift_window(word: str) -> tuple[int, int]:
+    """(min, max - min) of the shifts at which the word reads b or B; (0, 0) if none."""
     shifts, s = [], 0
     for ch in word:
         if ch in "aA":
             s += 1 if ch == "a" else -1
         else:
             shifts.append(s)
-    return max(shifts, default=0) - min(shifts, default=0)
+    lo = min(shifts, default=0)
+    return lo, max(shifts, default=0) - lo
+
+
+def b_shift_span(word: str) -> int:
+    """max - min of the shifts at which the word reads b or B; 0 if none."""
+    return b_shift_window(word)[1]
 
 
 def test_span_cutoff_toy_values(toy_ctx):
@@ -504,7 +510,8 @@ def test_reader_matches_lamp_state_span_and_codes():
         for x in (w, word):
             assert _kernels.skeleton(x) == skeleton_of_codes(to_codes(free_reduce(x))), x
         skeleton, shift = _kernels.skeleton(w)
-        assert neumann._lamp_span(skeleton, shift) == (b_shift_span(w) if trivial else None), word
+        window = neumann._lamp_window(skeleton, shift)
+        assert window == (b_shift_window(w) if trivial else None), word
         seen["trivial" if trivial else "nontrivial"] += 1
         seen["unreduced"] += w != word
         seen["no_b"] += bool(w) and "b" not in w.lower()
@@ -646,9 +653,9 @@ def test_is_trivial_work_is_the_span_cutoff(toy_ctx, monkeypatch):
     sizes = []
     eval_word = _kernels.eval_word
 
-    def counted(tabs, codes):
+    def counted(tabs, *args):
         sizes.append(tabs.shape[1])
-        return eval_word(tabs, codes)
+        return eval_word(tabs, *args)
 
     monkeypatch.setattr(_kernels, "eval_word", counted)
     rng = random.Random(5)
@@ -698,7 +705,7 @@ def test_tracer_reads_eval_word_per_coordinate_and_b_letter(toy_ctx):
 def test_abelian_pre_check_rejects_only_lamp_rejected_words(toy_ctx, monkeypatch):
     # is_trivial answers False from the letter counts alone, without reading
     # the word, exactly when the image of the lamp state in Z x Z/3 (the
-    # shift, the lamp sum mod 3) is nonzero; each such word has _lamp_span None
+    # shift, the lamp sum mod 3) is nonzero; each such word has _lamp_window None
     rng = random.Random(24)
     short = GroupContext(SequenceSet.preset([7, 17, 19], [3, 2, 5]))
     read = []
@@ -729,7 +736,7 @@ def test_abelian_pre_check_rejects_only_lamp_rejected_words(toy_ctx, monkeypatch
                 assert (not read) == abelian, w
                 if abelian:
                     assert not got
-                    assert neumann._lamp_span(*skeleton(w)) is None, w
+                    assert neumann._lamp_window(*skeleton(w)) is None, w
         seen["skipped"] += abelian
         seen["read_lamp_rejected"] += not abelian and not lamps.is_identity()
         seen["read_lamp_trivial"] += lamps.is_identity()
