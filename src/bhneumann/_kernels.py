@@ -57,7 +57,8 @@ Shared conventions:
   shift, kept mod 3: b adds 1, B adds 2 (``wreath.lamp_counts``).  The
   lamp overlay puts the 3-cycle at (i, i+r, i+2r) mod d, or its inverse,
   at each lit lamp i, in increasing i, so a later lamp overwrites an
-  earlier one where supports collide.
+  earlier one where supports collide.  ``check_random_words`` builds it
+  once per word; ``scan_tree`` rewrites it only at the 3 slots of a b or B.
 * ``scan_tree`` walks the reduced-word prefix tree in preorder, children
   in the order a, A, b, B less the one that cancels the last letter.
 * Consistency checks require the caller to guarantee support
@@ -278,40 +279,54 @@ def scan_tree(tabs: memoryview, r: int, max_depth: int) -> tuple[int, int]:
 
     Two checks per node: the image is the identity exactly when the lamp
     state is trivial, and the image equals the lamp overlay composed
-    with the power of the full cycle given by the shift.  A b or B moves
-    3 slots and one lamp, undone on the way back.  Returns (nodes
-    visited, nodes failing either check).
+    with the power of the full cycle given by the shift.  A b or B at s
+    moves 3 slots of p and one lamp, resets the overlay o at those slots
+    and replays there the lit lamps whose triples meet s's (s's own
+    under spread), all undone on the way back.  A node's state is p != o,
+    p == identity and no lamp lit.  Returns (nodes, failing nodes).
     """
-    d = tabs.shape[1]
-    ident, trip, window = _slots(int(r), d, max_depth)
-    p = ident[:]
-    lamp = [0] * len(window)
+    d, w = tabs.shape[1], max_depth
+    ident, trip, window = _slots(int(r), d, w)
+    p, o, lamp = ident[:], ident[:], [0] * len(window)
+    # replay[s]: each u whose triple meets s's (u - s = kr mod d, |k| <= 2),
+    # in increasing u, with the overlay writes of lamp[u] = 0, 1, 2 cut to s's slots
+    near = {k * int(r) % d for k in range(-2, 3)}
+    replay = [[(u, [[(x, v) for x, v in zip(t, t[1:] + t[:1]) if x in trip[2][s]]
+                    for t in ((), trip[2][u], trip[3][u])])
+               for u in window if (u - s) % d in near] for s in window]
+    # (code, shift step) of each child, keyed by the last code (-1 at the root)
+    kids = [[(c, (1, -1, 0, 0)[c]) for c in range(4) if c != last ^ 1] for last in (0, 1, 2, 3, -1)]
     nodes = fails = 0
 
-    def visit(depth: int, last: int, s: int, state: tuple[bool, bool, bool]) -> None:
+    def visit(depth: int, last: int, s: int, differs: bool, trivial: bool, lit: int) -> None:
         nonlocal nodes, fails
-        for c in range(4):
-            if c == last ^ 1:
-                continue
-            nodes += 1
-            # a or A moves only the shift: the parent's state stands
-            t = s + (1, -1, 0, 0)[c]
-            child = state
+        nodes += len(kids[last])
+        for c, step in kids[last]:
+            t = s + step
             if c > 1:
                 i, j, k = trip[c][s]
                 p[i], p[j], p[k] = p[j], p[k], p[i]
                 turns = lamp[s]
-                lamp[s] = (turns + c - 1) % 3
-                child = _state(p, ident, lamp, trip, window)
-            fails += _fails(t, max_depth, d, child)
-            if depth < max_depth:
-                visit(depth + 1, c, t, child)
+                lamp[s] = new = (turns + c - 1) % 3
+                saved = o[i], o[j], o[k]
+                o[i], o[j], o[k] = i, j, k
+                for u, writes in replay[s]:
+                    for x, v in writes[lamp[u]]:
+                        o[x] = v
+                cdiff, ctriv, clit = p != o, p == ident, lit + (new > 0) - (turns > 0)
+            else:
+                # a or A moves only the shift: the parent's state stands
+                cdiff, ctriv, clit = differs, trivial, lit
+            fails += cdiff or (ctriv and (t - w) % d == 0) != (not clit and t == w)
+            if depth < w:
+                visit(depth + 1, c, t, cdiff, ctriv, clit)
             if c > 1:
                 lamp[s] = turns
+                o[i], o[j], o[k] = saved
                 p[i], p[j], p[k] = p[k], p[i], p[j]
 
-    if max_depth > 0:
-        visit(1, -1, max_depth, (False, True, True))
+    if w > 0:
+        visit(1, -1, w, False, True, 0)
     return nodes, fails
 
 

@@ -268,9 +268,10 @@ def test_check_random_words_takes_code_lists():
 
 @pytest.mark.parametrize("d,r", [(13, 2), (5, 2), (7, 2), (11, 3), (83, 11)])
 def test_scan_tree_counts_as_each_word_checked_alone(d, r):
-    # check_random_words rebuilds the lamp overlay for every word, where
-    # scan_tree rebuilds it only below b and B; depth 5 puts a and A
-    # below the first colliding b nodes (such as "baab" at r = 2)
+    # check_random_words builds the lamp overlay once per word, where
+    # scan_tree rewrites it at the 3 slots of each b or B and restores
+    # them on the way back; depth 5 puts a and A below the first
+    # colliding b nodes (such as "baab" at r = 2)
     words = [to_codes(w) for w in enumerate_dfs(5)][1:]
     tabs = tabs_of(d, r)
     assert K.scan_tree(tabs, r, 5) == K.check_random_words(tabs, r, words)
@@ -344,6 +345,7 @@ def test_walks_size_nothing_by_the_degree():
     try:
         start = time.perf_counter()
         assert K.scan_tree(tabs, r, 4) == (160, 0)
+        assert K.scan_tree(tabs, r, 7) == (4372, 0)
         assert K.check_random_words(tabs, r, rows) == (20, 0)
         far = [K.eval_word(tabs, sk, *K.window(sk)) for sk in skeletons]
         near = [K.eval_word(DegreeOnly(d, 3), sk, *K.window(sk)) for sk in skeletons]
@@ -356,6 +358,20 @@ def test_walks_size_nothing_by_the_degree():
     assert far == [K.skeleton_form(sk, r, d) for sk in skeletons]
     assert near == [K.skeleton_form(sk, 3, d) for sk in skeletons]
     assert all(far) and all(near)
+
+
+def test_scan_tree_builds_no_overlay_per_node(monkeypatch):
+    # toy m = 10 at depth 7, perfbench's large tree: 4372 nodes over 45
+    # slots.  The walk rewrites the overlay at the 3 slots of each b or B;
+    # _state, which builds it from every lit lamp, is check_random_words'
+    def whole_overlay(*args):
+        raise AssertionError("scan_tree rebuilt the lamp overlay")
+
+    monkeypatch.setattr(K, "_state", whole_overlay)
+    assert K.scan_tree(DegreeOnly(227, 15), 15, 7) == (4372, 0)
+    assert len(K._slots(15, 227, 7)[0]) == 45
+    # colliding offsets take the same path
+    assert K.scan_tree(DegreeOnly(13, 2), 2, 4) == (160, 8)
 
 
 def test_eval_word_work_is_bounded_by_the_b_letters(monkeypatch):

@@ -1,14 +1,19 @@
-"""Property tests: is_trivial and equal against dense perm.compose on small presets.
+"""Property tests against dense perm.compose on small degrees.
 
-Hypothesis draws the presets and the words.  The words are products of
-conjugated blocks; a block [x, y^(a^k)] has 4 b letters over a span of
-|k| <= 60, far wider than the degrees here (at most 43), so the drawn
-presets sit squeezed below the span (d - 2r <= span) at most
-coordinates, and eval_word meets its window, its wrap fallback and its
-fallback for windows wider than 8 entries per b letter.  The runs are
-derandomized and bounded, with no deadline.
+is_trivial and equal: hypothesis draws the presets and the words.  The
+words are products of conjugated blocks; a block [x, y^(a^k)] has 4 b
+letters over a span of |k| <= 60, far wider than the degrees here (at
+most 43), so the drawn presets sit squeezed below the span (d - 2r <=
+span) at most coordinates, and eval_word meets its window, its wrap
+fallback and its fallback for windows wider than 8 entries per b letter.
+
+The locality walks: hypothesis draws a prime d <= 61, any offset r in
+[1, d - 1], a depth <= 5 and a small batch of words, so most draws have
+colliding offsets, where a later lamp overwrites an earlier one in the
+overlay.  The runs are derandomized and bounded, with no deadline.
 """
 
+from collections import Counter
 from itertools import groupby
 
 from hypothesis import given, settings
@@ -18,7 +23,10 @@ from bhneumann import (
     GroupContext, SequenceSet, commutator, compose, conjugate, equal, identity, inverse, invert,
     is_trivial, make_generators, power,
 )
-from conftest import lamp_oracle
+import bhneumann._kernels as K
+from bhneumann.words import to_codes
+from conftest import enumerate_dfs, lamp_oracle
+from test_kernels import DegreeOnly, dense_checks
 
 PRIMES = (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
 SHORT = st.text(alphabet="aAbB", max_size=6)
@@ -72,3 +80,29 @@ def test_is_trivial_and_equal_match_dense_compose(seqs, w, data):
     assert is_trivial(ctx, w) == want
     k = data.draw(st.integers(0, len(w)))
     assert equal(ctx, w[:k], invert(w[k:])) == want
+
+
+def test_walks_match_dense_compose():
+    seen = Counter()
+
+    @settings(derandomize=True, max_examples=150, deadline=None, database=None)
+    @given(
+        d=st.sampled_from((*PRIMES, 47, 53, 59, 61)), data=st.data(),
+        depth=st.sampled_from((5, 4, 3, 2, 1, 0)),
+        batch=st.lists(st.text(alphabet="aAbB", max_size=12), min_size=1, max_size=6),
+    )
+    def walks_match(d, data, depth, batch):
+        r = data.draw(st.integers(1, d - 1))
+        tabs = DegreeOnly(d, r)  # the walks read only the degree
+        tree = dense_checks(d, r, enumerate_dfs(depth)[1:])
+        words = dense_checks(d, r, batch)
+        assert K.scan_tree(tabs, r, depth) == tree
+        assert K.check_random_words(tabs, r, [to_codes(w) for w in batch]) == words
+        # some two positions of the depth window have triples sharing a point
+        if len(K._slots(r, d, depth)[0]) < 3 * (2 * depth + 1):
+            seen["colliding"] += 1
+            seen["tree fails"] += tree[1] > 0
+            seen["words fail"] += words[1] > 0
+
+    walks_match()
+    assert seen["colliding"] >= 20 and seen["tree fails"] >= 10 and seen["words fail"] >= 10, seen
