@@ -30,17 +30,18 @@ sifts every Schreier generator of a level again after each residue it
 attaches; at the bound the sweep returns at once.
 
 The chain is plain Python and meant for small degrees: it runs in the
-CLI only for d <= 13, and Alt(d) at the tower's degrees is certified by
-the ladder bound instead.  Everything is deterministic: insertion order,
-orbit growth order, the fill (splitmix64 seeded with the degree) and
-the verification sweep are all fixed functions of the input.
+CLI only for d <= 13.  Alt(d) at the tower's degrees needs no chain:
+verify_alt_generation certifies it by Jordan's theorem.  Everything is
+deterministic: insertion order, orbit growth order, the fill (splitmix64
+seeded with the degree) and the verification sweep are all fixed
+functions of the input.
 """
 
 from __future__ import annotations
 
 import math
 
-from .perm import Permutation, compose_images, inverse_images, is_even, make_generators
+from .perm import Permutation, check_generators, compose_images, inverse_images, is_even
 from .words import splitmix64
 
 __all__ = [
@@ -250,81 +251,20 @@ def contains(chain: StabilizerChain, p: Permutation) -> bool:
     return residue is None
 
 
-def _ladder_bound(alpha: Permutation, beta: Permutation, r: int) -> int:
-    """Lower bound d * prod_j |b_j^H_j| on |<alpha, beta>|, or 0.
-
-    Notation as in verify_alt_generation.  The union-find runs from
-    j = d-3 down, so after step j the component of b_j is its H_j-orbit.
-    Returns 0 if alpha is not x -> x+1 or some sigma_j moves a base point
-    b_i with i < j, since the bound then does not hold.
-    """
-    d = alpha.degree
-    if alpha.images != (*range(1, d), 0):
-        return 0
-    # r is a unit mod the prime d, so the b_j run through every point once
-    base = [j * r % d for j in range(d)]
-    pos = [0] * d
-    for j, b in enumerate(base):
-        pos[b] = j
-    arrows = [(x, y) for x, y in enumerate(beta.images) if x != y]
-    parent = list(range(d))
-    size = [1] * d
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    bound = d
-    for j in range(d - 3, 0, -1):
-        shift = base[j]
-        for x, y in arrows:
-            # sigma_j sends x + shift to beta(x) + shift
-            x, y = (x + shift) % d, (y + shift) % d
-            if pos[x] < j:
-                return 0
-            rx, ry = find(x), find(y)
-            if rx != ry:
-                if size[rx] < size[ry]:
-                    rx, ry = ry, rx
-                parent[ry] = rx
-                size[rx] += size[ry]
-        bound *= size[find(base[j])]
-    return bound
-
-
 def verify_alt_generation(d: int, r1: int, r2: int) -> bool:
     """Whether the standard pair generates the full alternating group.
 
-    Both generators are even permutations (a d-cycle of odd length and a
-    3-cycle), so G = <alpha, beta> lies in Alt(d) and d!/2 bounds its
-    order from above; any lower bound that reaches d!/2 certifies
-    G = Alt(d).
-
-    For r1 == r2 == r the lower bound is an orbit product along the
-    conjugate 3-cycle ladder.  Take the base b_j = j*r mod d (every point
-    once, as d is prime) and sigma_j = alpha^(j*r) beta alpha^(-j*r), the
-    3-cycle at (b_j, b_(j+1), b_(j+2)), for j = 1..d-3.  Checked on the
-    actual images, every sigma_i with i >= j fixes b_0..b_(j-1), so
-    H_j = <sigma_i : i >= j> lies in the pointwise stabilizer G_j of
-    b_0..b_(j-1) in G.  Then |G| = prod_j |b_j^G_j| >= d * prod_j |b_j^H_j|:
-    the d-cycle makes the first orbit all d points, and the H_j-orbits
-    are connected components of one union-find over the points each
-    sigma_j moves.  This is the soundness argument of a stabilizer chain
-    (the transversal product never exceeds the order) without building
-    one, in O(d) Python-level steps instead of O(d^3).
-
-    If the product falls short, or r1 != r2, a stabilizer chain decides;
-    it stops at d!/2 by itself, as both generators are even.  Raises
-    InvalidGenerators (a ValueError) when d is not an odd prime >= 5 or
-    the offsets do not fit.
+    True for every triple that perm.check_generators accepts, by a
+    theorem.  There d is a prime >= 5 and 0, r1, r1 + r2 are distinct
+    mod d.  The d-cycle alpha makes G = <alpha, beta> transitive, and a
+    transitive group of prime degree is primitive.  A primitive group
+    that contains a 3-cycle, here beta, contains Alt(d) (Jordan 1873;
+    Wielandt, *Finite Permutation Groups*, 1964, Thm 13.3; Dixon and
+    Mortimer, *Permutation Groups*, 1996, Thm 3.3A).  Both generators
+    are even, so G = Alt(d).  The cost is check_generators' primality
+    test; no permutation is built.  Raises InvalidGenerators (a
+    ValueError) when d is not an odd prime >= 5 or the offsets do not
+    fit, and DegreeTooLarge past perm.MAX_DEGREE.
     """
-    alpha, beta = make_generators(d, r1, r2)
-    if not (is_even(alpha) and is_even(beta)):
-        return False
-    target = math.factorial(d) // 2
-    if r1 == r2 and _ladder_bound(alpha, beta, r1) == target:
-        return True
-    chain = build_chain([alpha, beta])
-    return group_order(chain) == target
+    check_generators(d, r1, r2)
+    return True

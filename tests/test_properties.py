@@ -20,8 +20,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bhneumann import (
-    GroupContext, SequenceSet, commutator, compose, conjugate, equal, identity, inverse, invert,
-    is_trivial, make_generators, power,
+    GroupContext, SequenceSet, commutator, compose, conjugate, equal, free_reduce, identity,
+    inverse, invert, is_trivial, make_generators, power, signature,
 )
 import bhneumann._kernels as K
 from bhneumann.words import to_codes
@@ -80,6 +80,28 @@ def test_is_trivial_and_equal_match_dense_compose(seqs, w, data):
     assert is_trivial(ctx, w) == want
     k = data.draw(st.integers(0, len(w)))
     assert equal(ctx, w[:k], invert(w[k:])) == want
+
+
+def test_signatures_agree_exactly_on_equal_elements():
+    # the "iff" of the ElementSignature docstring: v is u times a drawn
+    # word w, which is often trivial on the presets, or drawn apart from u
+    seen = Counter()
+
+    @settings(derandomize=True, max_examples=150, deadline=None, database=None)
+    @given(seqs=presets(), u=words(), w=words(), times=st.booleans(), pad=st.integers(0, 2))
+    def agree(seqs, u, w, times, pad):
+        v = u + w if times else w
+        n = max(len(free_reduce(u)), len(free_reduce(v))) + pad
+        q = u + invert(v)
+        lamps = lamp_oracle(q).is_identity()
+        want = lamps and dense_trivial(seqs, q)
+        ctx = GroupContext(seqs)
+        assert (signature(ctx, u, n) == signature(ctx, v, n)) == want
+        seen[lamps, want] += 1
+
+    agree()
+    # equal; lamps agree but a coordinate tells u from v; lamps differ
+    assert min(seen[True, True], seen[True, False], seen[False, False]) >= 10, seen
 
 
 def test_walks_match_dense_compose():

@@ -6,9 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from bhneumann import cli
+from bhneumann import GrowthProfile, SequenceSet, cli
 from bhneumann import perm as P
 from bhneumann import schreier as S
+from bhneumann.errors import DegreeTooLarge, InvalidGenerators
 
 
 def bfs_closure(gens: list[P.Permutation], cap: int = 50_000) -> set[tuple[int, ...]]:
@@ -321,46 +322,139 @@ def test_verify_alt_generation_fixed_tuples():
     assert S.verify_alt_generation(13, 4, 4)
 
 
-def test_verify_alt_generation_toy_prefix(toy_seqs):
-    # coordinates 1..40 reach d = 709, far past what a chain can certify
-    assert toy_seqs.d_of(40) > 700
-    for k in range(1, 41):
-        d, r = toy_seqs.d_of(k), toy_seqs.r_of(k)
-        assert S.verify_alt_generation(d, r, r), (k, d, r)
+def ladder_bound(alpha: P.Permutation, beta: P.Permutation, r: int) -> int:
+    """Lower bound d * prod_j |b_j^H_j| on |<alpha, beta>|, or 0.
+
+    A computed certificate of Alt(d) at degrees no chain reaches, with
+    no appeal to Jordan's theorem.  Take the base b_j = j*r mod d (every
+    point once, as d is prime) and sigma_j = alpha^(j*r) beta
+    alpha^(-j*r), for j = 1..d-3.  When every sigma_i with i >= j fixes
+    b_0..b_(j-1), H_j = <sigma_i : i >= j> lies in the pointwise
+    stabilizer G_j of those points, so |G| = prod_j |b_j^G_j| >=
+    d * prod_j |b_j^H_j|: the d-cycle makes the first orbit all d
+    points, and the H_j-orbits are the components of one union-find run
+    from j = d-3 down.  Returns 0 if alpha is not x -> x+1 or some
+    sigma_j moves an earlier base point, since the bound then does not
+    hold.  With both generators even, a bound of d!/2 proves G = Alt(d).
+    """
+    d = alpha.degree
+    if alpha.images != (*range(1, d), 0):
+        return 0
+    base = [j * r % d for j in range(d)]
+    pos = [0] * d
+    for j, b in enumerate(base):
+        pos[b] = j
+    arrows = [(x, y) for x, y in enumerate(beta.images) if x != y]
+    parent = list(range(d))
+    size = [1] * d
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    bound = d
+    for j in range(d - 3, 0, -1):
+        shift = base[j]
+        for x, y in arrows:
+            # sigma_j sends x + shift to beta(x) + shift
+            x, y = (x + shift) % d, (y + shift) % d
+            if pos[x] < j:
+                return 0
+            rx, ry = find(x), find(y)
+            if rx != ry:
+                if size[rx] < size[ry]:
+                    rx, ry = ry, rx
+                parent[ry] = rx
+                size[rx] += size[ry]
+        bound *= size[find(base[j])]
+    return bound
 
 
-def test_ladder_and_generic_agree():
-    # r1 == r2 takes the orbit-product route; the full sweep is generic
-    gens = list(P.make_generators(11, 3, 3))
-    assert S.group_order(S.build_chain(gens)) == math.factorial(11) // 2
-    assert S.verify_alt_generation(11, 3, 3)
+@pytest.fixture(scope="module")
+def tower_prefixes(toy_seqs):
+    """(d, r) of toy indices 1..40 and builtin indices 1..10."""
+    builtin = SequenceSet(GrowthProfile.builtin())
+    return [(s.d_of(k), s.r_of(k)) for s, top in ((toy_seqs, 40), (builtin, 10))
+            for k in range(1, top + 1)]
 
 
-SMALL_LADDERS = [
-    (d, r) for d in (5, 7, 11, 13, 17) for r in range(1, (d - 1) // 2 + 1)
+def test_verify_alt_generation_toy_prefix(tower_prefixes):
+    # toy reaches d = 709 at index 40 and builtin d > 2300 at index 1, far
+    # past what a chain can build; the ladder certifies Alt(d) there by an
+    # orbit product, independently of the theorem that verify_alt_generation
+    # rests on
+    assert max(d for d, _ in tower_prefixes) > 2300
+    for d, r in tower_prefixes:
+        assert S.verify_alt_generation(d, r, r), (d, r)
+        alpha, beta = P.make_generators(d, r, r)
+        assert ladder_bound(alpha, beta, r) == math.factorial(d) // 2, (d, r)
+
+
+def test_verify_alt_generation_builds_no_permutation(tower_prefixes, monkeypatch):
+    # the theorem needs only check_generators: no generator, permutation or
+    # chain is built, whatever the degree
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify_alt_generation built a permutation")
+
+    monkeypatch.setattr(P, "make_generators", refuse)
+    monkeypatch.setattr(P.Permutation, "__post_init__", refuse)
+    monkeypatch.setattr(S, "build_chain", refuse)
+    for d, r in tower_prefixes:
+        assert S.verify_alt_generation(d, r, r), (d, r)
+
+
+ODD_PRIMES_TO_31 = (5, 7, 11, 13, 17, 19, 23, 29, 31)
+
+
+def test_verify_alt_generation_answers_exactly_the_accepted_triples():
+    # True on every triple check_generators accepts, InvalidGenerators on
+    # every other, over all degrees <= 31 and offsets just past each end
+    for d in range(32):
+        for r1 in range(-1, d + 2):
+            for r2 in range(-1, d + 2):
+                if d in ODD_PRIMES_TO_31 and r1 >= 1 and r2 >= 1 and r1 + r2 <= d - 1:
+                    P.check_generators(d, r1, r2)
+                    assert S.verify_alt_generation(d, r1, r2) is True
+                else:
+                    with pytest.raises(InvalidGenerators):
+                        P.check_generators(d, r1, r2)
+                    with pytest.raises(InvalidGenerators):
+                        S.verify_alt_generation(d, r1, r2)
+
+
+def test_verify_alt_generation_refuses_bprime_past_the_dense_limit():
+    seqs = SequenceSet(GrowthProfile.bprime())
+    d, r = seqs.d_of(1), seqs.r_of(1)
+    assert d > P.MAX_DEGREE
+    with pytest.raises(DegreeTooLarge, match=str(P.MAX_DEGREE)):
+        S.verify_alt_generation(d, r, r)
+
+
+# every triple check_generators accepts with d <= 17; the two tests below
+# split them by r1 == r2 and compute the order d!/2 for each by a chain
+ACCEPTED = [
+    (d, r1, r2)
+    for d in (5, 7, 11, 13, 17)
+    for r1 in range(1, d - 1)
+    for r2 in range(1, d - r1)
 ]
+SMALL_LADDERS = [(d, r1) for d, r1, r2 in ACCEPTED if r1 == r2]
+UNEQUAL_PAIRS = [t for t in ACCEPTED if t[1] != t[2]]
 
 
 @pytest.mark.parametrize("d,r", SMALL_LADDERS)
 def test_ladder_certificate_matches_full_sweep(d, r):
     want = math.factorial(d) // 2
     assert S.verify_alt_generation(d, r, r)
-    assert S._ladder_bound(*P.make_generators(d, r, r), r) == want
+    assert ladder_bound(*P.make_generators(d, r, r), r) == want
     assert S.group_order(S.build_chain(list(P.make_generators(d, r, r)))) == want
-
-
-UNEQUAL_PAIRS = [
-    (d, r1, r2)
-    for d in (5, 7)
-    for r1 in range(1, d - 1)
-    for r2 in range(1, d - r1)
-    if r1 != r2
-]
 
 
 @pytest.mark.parametrize("d,r1,r2", UNEQUAL_PAIRS)
 def test_unequal_offsets_take_the_chain_and_generate_alt(d, r1, r2):
-    # a d-cycle of prime length and a 3-cycle generate Alt(d) (Jordan)
+    # no ladder for r1 != r2: the chain alone computes the order
     assert S.verify_alt_generation(d, r1, r2)
     want = math.factorial(d) // 2
     assert S.group_order(S.build_chain(list(P.make_generators(d, r1, r2)))) == want
@@ -370,8 +464,8 @@ def test_ladder_bound_refuses_a_prefix_it_does_not_fix():
     # the 3-cycle (0, 1, 2) against the ladder of r = 2: sigma_j moves
     # 2j + 1, which is an earlier base point for some j, so no bound
     alpha, _ = P.make_generators(11, 2, 2)
-    assert S._ladder_bound(alpha, P.cycle_from([0, 1, 2], 11), 2) == 0
-    assert S._ladder_bound(P.power(alpha, 2), P.make_generators(11, 2, 2)[1], 2) == 0
+    assert ladder_bound(alpha, P.cycle_from([0, 1, 2], 11), 2) == 0
+    assert ladder_bound(P.power(alpha, 2), P.make_generators(11, 2, 2)[1], 2) == 0
 
 
 def test_verify_rejects_bad_degree():
